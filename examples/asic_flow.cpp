@@ -8,35 +8,16 @@
 ///         -> transistor sizing                     (paper's follow-up step)
 ///         -> SPICE + Verilog export for downstream tooling.
 ///
-/// Build & run:   build/examples/asic_flow [--diag-json]
-///                                         [--lint] [--lint-sarif=FILE]
-///                                         [--csa] [--csa-sarif=FILE]
-///                                         [--csa-margin=X]
-///                                         [--race] [--race-sarif=FILE]
-///                                         [--race-phases=N]
-///                                         [--race-teval=X] [--race-tpre=X]
-///                                         [--race-skew=X]
-///                                         [--race-margin=X]
-///                                         [--prove] [--prove-budget=N]
-///                                         [--prove-fail-on=SEV]
-///                                         [--prove-strict] [circuit.blif]
+/// Build & run:   build/examples/asic_flow [--diag-json] [--lint]
+///                  [--lint-sarif=FILE] [--csa-sarif=FILE]
+///                  [--race-sarif=FILE] [analyzer flags] [circuit.blif]
 /// Without a circuit argument a built-in 4-bit comparator BLIF is used.
 /// --lint prints the full lint report; --lint-sarif=FILE writes it as
-/// SARIF 2.1.0 for CI annotation.  --csa runs the static charge-sharing /
-/// PBE-safety analyzer (docs/CSA.md); --csa-sarif=FILE writes its
-/// findings as SARIF 2.1.0 and --csa-margin=X sets the droop noise
-/// margin as a fraction of VDD (default 0.25).  --race runs the static
-/// phase / monotonicity / race analyzer (docs/RACE.md); --race-sarif=FILE
-/// writes its findings as SARIF 2.1.0; --race-phases=N sets the clock
-/// phase count and --race-teval/--race-tpre/--race-skew/--race-margin
-/// configure the evaluate / precharge windows (0 = unconstrained).
-/// --prove runs the exact proof tier (docs/PROVE.md) over the lint / csa
-/// / race findings: each provable finding becomes confirmed (witness
-/// logged), refuted (downgraded to info with a certificate), or unknown
-/// (node budget hit).  --prove-budget=N caps BDD nodes per cone (default
-/// 2^20); --prove-fail-on=info|warning|error sets the severity at which
-/// a CONFIRMED finding fails the flow; --prove-strict exits 5
-/// (kProofTimeout) when any proof obligation exceeds the budget.
+/// SARIF 2.1.0 for CI annotation, and --csa-sarif=FILE / --race-sarif=FILE
+/// do the same for the csa / race findings (turning that analyzer on).
+/// The analyzer flags (--csa, --race-phases=N, --prove, ...) are listed
+/// once in README.md "Analyzer flags"; with --prove, every proof record
+/// is printed with its verdict and certificate or witness.
 ///
 /// Batch mode (src/batch; see docs/BATCH.md):
 ///   --batch[=a,b,c]   run the asic flow over the named benchmark
@@ -47,6 +28,9 @@
 ///   --manifest=FILE   merged manifest (default asic_flow.manifest.json)
 ///   --timeout-ms=N    per-attempt watchdog   --attempts=N  retry budget
 ///   --isolate         fork each attempt into a subprocess
+///
+/// One set of flow options feeds both modes; a bad flow option value or an
+/// unknown --flag exits 64.
 ///
 /// All artifact files are written atomically (write-temp-fsync-rename),
 /// so a crash or SIGKILL never leaves a truncated .sp/.v/SARIF on disk.
@@ -68,6 +52,7 @@
 #include "soidom/batch/runner.hpp"
 #include "soidom/batch/signals.hpp"
 #include "soidom/benchgen/registry.hpp"
+#include "soidom/core/flags.hpp"
 #include "soidom/core/flow.hpp"
 #include "soidom/domino/export.hpp"
 #include "soidom/sizing/sizing.hpp"
@@ -111,6 +96,18 @@ const char* kDefaultBlif = R"(
 -1-1-11 1
 .end
 )";
+
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(
+      stderr,
+      "usage: %s [--diag-json] [--lint] [--lint-sarif=FILE]\n"
+      "          [--csa-sarif=FILE] [--race-sarif=FILE] [analyzer flags]\n"
+      "          [--batch[=a,b,c]] [--resume] [--journal=FILE]\n"
+      "          [--manifest=FILE] [--timeout-ms=N] [--attempts=N]\n"
+      "          [--jobs=N] [--isolate] [circuit.blif]\n%s",
+      argv0, kAnalyzerFlagUsage);
+  std::exit(64);
+}
 
 std::vector<std::string> split_names(const std::string& list) {
   std::vector<std::string> out;
@@ -156,6 +153,7 @@ int run_batch_mode(const std::vector<std::string>& circuits,
 
   BatchResult result;
   try {
+    validate(options.flow);
     result = run_batch(jobs, options, hooks);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
@@ -182,15 +180,14 @@ int run_batch_mode(const std::vector<std::string>& circuits,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The SOI-aware flow with sequence-aware pruning and exact equivalence,
+  // for the single circuit and for every batch job alike.
+  FlowOptions options;
+  options.variant = FlowVariant::kSoiDominoMap;
+  options.sequence_aware = true;
+  options.exact_equivalence = true;
   bool diag_json = false;
   bool want_lint = false;
-  bool want_csa = false;
-  double csa_margin = -1.0;
-  bool want_race = false;
-  RaceOptions race_options;
-  bool want_prove = false;
-  ProveOptions prove_options;
-  LintSeverity prove_fail_on = LintSeverity::kError;
   bool batch_mode = false;
   std::vector<std::string> batch_circuits;
   BatchOptions batch;
@@ -200,21 +197,14 @@ int main(int argc, char** argv) {
   std::string csa_sarif_path;
   std::string race_sarif_path;
   std::string path;
-  // Strict numeric parses: atoi/atof would turn "--jobs=all" or
-  // "--csa-margin=high" into 0 silently.
-  bool bad_number = false;
+  std::string error;
+  // Strict numeric parse: atoi would turn "--jobs=all" into 0 silently.
+  bool bad_value = false;
   auto int_flag = [&](const char* text, const char* flag, int* out) {
     if (!parse_int_strict(text, out)) {
       std::fprintf(stderr, "error: %s needs an integer, got '%s'\n", flag,
                    text);
-      bad_number = true;
-    }
-  };
-  auto double_flag = [&](const char* text, const char* flag, double* out) {
-    if (!parse_double_strict(text, out)) {
-      std::fprintf(stderr, "error: %s needs a number, got '%s'\n", flag,
-                   text);
-      bad_number = true;
+      bad_value = true;
     }
   };
   for (int i = 1; i < argc; ++i) {
@@ -224,57 +214,18 @@ int main(int argc, char** argv) {
       want_lint = true;
     } else if (std::strncmp(argv[i], "--lint-sarif=", 13) == 0) {
       lint_sarif_path = argv[i] + 13;
-    } else if (std::strcmp(argv[i], "--csa") == 0) {
-      want_csa = true;
     } else if (std::strncmp(argv[i], "--csa-sarif=", 12) == 0) {
-      want_csa = true;
+      options.csa = true;
       csa_sarif_path = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--csa-margin=", 13) == 0) {
-      want_csa = true;
-      double_flag(argv[i] + 13, "--csa-margin", &csa_margin);
-    } else if (std::strcmp(argv[i], "--race") == 0) {
-      want_race = true;
     } else if (std::strncmp(argv[i], "--race-sarif=", 13) == 0) {
-      want_race = true;
+      options.race = true;
       race_sarif_path = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--race-phases=", 14) == 0) {
-      want_race = true;
-      int_flag(argv[i] + 14, "--race-phases", &race_options.num_phases);
-    } else if (std::strncmp(argv[i], "--race-teval=", 13) == 0) {
-      want_race = true;
-      double_flag(argv[i] + 13, "--race-teval", &race_options.t_eval);
-    } else if (std::strncmp(argv[i], "--race-tpre=", 12) == 0) {
-      want_race = true;
-      double_flag(argv[i] + 12, "--race-tpre", &race_options.t_pre);
-    } else if (std::strncmp(argv[i], "--race-skew=", 12) == 0) {
-      want_race = true;
-      double_flag(argv[i] + 12, "--race-skew", &race_options.skew);
-    } else if (std::strncmp(argv[i], "--race-margin=", 14) == 0) {
-      want_race = true;
-      double_flag(argv[i] + 14, "--race-margin", &race_options.margin);
-    } else if (std::strcmp(argv[i], "--prove") == 0) {
-      want_prove = true;
-    } else if (std::strncmp(argv[i], "--prove-budget=", 15) == 0) {
-      want_prove = true;
-      int budget = 0;
-      int_flag(argv[i] + 15, "--prove-budget", &budget);
-      prove_options.node_budget = static_cast<std::uint32_t>(budget);
-    } else if (std::strncmp(argv[i], "--prove-fail-on=", 16) == 0) {
-      want_prove = true;
-      const std::string sev = argv[i] + 16;
-      if (sev == "info") prove_fail_on = LintSeverity::kInfo;
-      else if (sev == "warning") prove_fail_on = LintSeverity::kWarning;
-      else if (sev == "error") prove_fail_on = LintSeverity::kError;
-      else {
-        std::fprintf(stderr,
-                     "error: --prove-fail-on needs info|warning|error, "
-                     "got '%s'\n",
-                     sev.c_str());
-        bad_number = true;
+    } else if (parse_analyzer_flag(argv[i], options, &error)) {
+      if (!error.empty()) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        error.clear();
+        bad_value = true;
       }
-    } else if (std::strcmp(argv[i], "--prove-strict") == 0) {
-      want_prove = true;
-      prove_options.fail_on_budget = true;
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       batch_mode = true;
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
@@ -296,25 +247,18 @@ int main(int argc, char** argv) {
       int_flag(argv[i] + 7, "--jobs", &batch.max_parallel);
     } else if (std::strcmp(argv[i], "--isolate") == 0) {
       batch.isolate = true;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      usage(argv[0]);
     } else {
       path = argv[i];
     }
   }
-  if (bad_number) return 64;
+  if (bad_value) return 64;
 
   install_signal_cancel();
 
   if (batch_mode) {
-    batch.flow.variant = FlowVariant::kSoiDominoMap;
-    batch.flow.sequence_aware = true;
-    batch.flow.exact_equivalence = true;
-    batch.flow.csa = want_csa;
-    if (csa_margin >= 0.0) batch.flow.csa_options.margin = csa_margin;
-    batch.flow.race = want_race;
-    batch.flow.race_options = race_options;
-    batch.flow.prove = want_prove;
-    batch.flow.prove_options = prove_options;
-    batch.flow.prove_fail_on = prove_fail_on;
+    batch.flow = options;
     return run_batch_mode(batch_circuits, batch);
   }
 
@@ -346,17 +290,6 @@ int main(int argc, char** argv) {
                 min_stats.literals_before, min_stats.literals_after);
 
     // 2. Map with the SOI-aware flow, pruning unexcitable discharges.
-    FlowOptions options;
-    options.variant = FlowVariant::kSoiDominoMap;
-    options.sequence_aware = true;
-    options.exact_equivalence = true;
-    options.csa = want_csa;
-    if (csa_margin >= 0.0) options.csa_options.margin = csa_margin;
-    options.race = want_race;
-    options.race_options = race_options;
-    options.prove = want_prove;
-    options.prove_options = prove_options;
-    options.prove_fail_on = prove_fail_on;
     GuardOptions gopts;
     gopts.cancel = signal_cancel_token();
     const FlowOutcome outcome = run_flow_guarded(model, options, gopts);

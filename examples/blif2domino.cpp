@@ -19,31 +19,14 @@
 ///   --power                  print the dynamic-energy estimate
 ///   --lint                   print the full lint report (all severities)
 ///   --lint-sarif=FILE        write the lint report as SARIF 2.1.0
-///   --lint-fail-on=SEV      fail on lint findings >= error|warning|info
-///                            (default error)
-///   --csa                    run the static charge-sharing / PBE-safety
-///                            analyzer and print its per-gate droop report
 ///   --csa-sarif=FILE         write the CSA findings as SARIF 2.1.0
-///   --csa-margin=X           droop noise margin as a fraction of VDD
-///                            (default 0.25)
-///   --race                   run the static phase / monotonicity / race
-///                            analyzer and print its report (docs/RACE.md)
 ///   --race-sarif=FILE        write the race findings as SARIF 2.1.0
-///   --race-fail-on=SEV       fail on race findings >= error|warning|info
-///                            (default error)
-///   --race-phases=N          clock phase count (default 1)
-///   --race-teval=X           evaluate window (0 = unconstrained)
-///   --race-tpre=X            precharge window (0 = unconstrained)
-///   --race-skew=X            worst-case clock skew absorbed per handoff
-///   --race-margin=X          required skew-tolerance margin (warn below)
-///
-///   --prove                  exact proof tier over lint/csa/race findings
-///                            (docs/PROVE.md): confirmed / refuted / unknown
-///   --prove-budget=N         BDD node budget per cone problem (default 2^20)
-///   --prove-fail-on=SEV      fail on CONFIRMED findings >= error|warning|info
-///   --prove-strict           exit 5 (kProofTimeout) on any budget hit
 ///   --prove-json=FILE        write the ProveReport (witnesses, certificates)
 ///   --diag-json              print failures/warnings as JSON diagnostics
+///
+/// plus the analyzer flags (--csa, --race-phases=N, --prove, ...) listed
+/// once in README.md "Analyzer flags".  A --*-sarif= / --prove-json= path
+/// also turns its analyzer on.
 ///
 /// Output files (--spice/--verilog/--dnl/--lint-sarif) are written
 /// atomically: write to a temp file, fsync, rename.  A crash mid-write
@@ -61,6 +44,7 @@
 #include "soidom/base/fileio.hpp"
 #include "soidom/base/strings.hpp"
 #include "soidom/batch/signals.hpp"
+#include "soidom/core/flags.hpp"
 #include "soidom/core/flow.hpp"
 #include "soidom/domino/export.hpp"
 #include "soidom/domino/serialize.hpp"
@@ -80,16 +64,9 @@ namespace {
       "          [--seq-aware]\n"
       "          [--exact] [--dump] [--spice=FILE] [--verilog=FILE]\n"
       "          [--timing] [--power] [--lint] [--lint-sarif=FILE]\n"
-      "          [--lint-fail-on=error|warning|info]\n"
-      "          [--csa] [--csa-sarif=FILE] [--csa-margin=X]\n"
-      "          [--race] [--race-sarif=FILE]\n"
-      "          [--race-fail-on=error|warning|info] [--race-phases=N]\n"
-      "          [--race-teval=X] [--race-tpre=X] [--race-skew=X]\n"
-      "          [--race-margin=X] [--prove] [--prove-budget=N]\n"
-      "          [--prove-fail-on=error|warning|info] [--prove-strict]\n"
-      "          [--prove-json=FILE] [--diag-json]\n"
-      "          circuit.{blif,v}\n",
-      argv0);
+      "          [--csa-sarif=FILE] [--race-sarif=FILE] [--prove-json=FILE]\n"
+      "          [--diag-json] [analyzer flags] circuit.{blif,v}\n%s",
+      argv0, kAnalyzerFlagUsage);
   std::exit(64);
 }
 
@@ -115,9 +92,10 @@ int main(int argc, char** argv) {
   std::string verilog_path;
   std::string dnl_path;
   std::string path;
+  std::string error;
 
   // Strict numeric parses: atoi/atof would turn "--wmax=big" or
-  // "--csa-margin=high" into 0 silently.
+  // "--k=high" into 0 silently.
   auto int_flag = [&](const std::string& text, const char* flag, int* out) {
     if (!parse_int_strict(text, out)) {
       std::fprintf(stderr, "error: %s needs an integer, got '%s'\n", flag,
@@ -174,77 +152,20 @@ int main(int argc, char** argv) {
       want_lint = true;
     } else if (arg.rfind("--lint-sarif=", 0) == 0) {
       lint_sarif_path = arg.substr(13);
-    } else if (arg == "--lint-fail-on=error") {
-      options.lint_fail_on = LintSeverity::kError;
-    } else if (arg == "--lint-fail-on=warning") {
-      options.lint_fail_on = LintSeverity::kWarning;
-    } else if (arg == "--lint-fail-on=info") {
-      options.lint_fail_on = LintSeverity::kInfo;
-    } else if (arg == "--csa") {
-      options.csa = true;
     } else if (arg.rfind("--csa-sarif=", 0) == 0) {
       options.csa = true;
       csa_sarif_path = arg.substr(12);
-    } else if (arg.rfind("--csa-margin=", 0) == 0) {
-      options.csa = true;
-      double_flag(arg.substr(13), "--csa-margin",
-                  &options.csa_options.margin);
-    } else if (arg == "--race") {
-      options.race = true;
     } else if (arg.rfind("--race-sarif=", 0) == 0) {
       options.race = true;
       race_sarif_path = arg.substr(13);
-    } else if (arg == "--race-fail-on=error") {
-      options.race = true;
-      options.race_fail_on = LintSeverity::kError;
-    } else if (arg == "--race-fail-on=warning") {
-      options.race = true;
-      options.race_fail_on = LintSeverity::kWarning;
-    } else if (arg == "--race-fail-on=info") {
-      options.race = true;
-      options.race_fail_on = LintSeverity::kInfo;
-    } else if (arg.rfind("--race-phases=", 0) == 0) {
-      options.race = true;
-      int_flag(arg.substr(14), "--race-phases",
-               &options.race_options.num_phases);
-    } else if (arg.rfind("--race-teval=", 0) == 0) {
-      options.race = true;
-      double_flag(arg.substr(13), "--race-teval",
-                  &options.race_options.t_eval);
-    } else if (arg.rfind("--race-tpre=", 0) == 0) {
-      options.race = true;
-      double_flag(arg.substr(12), "--race-tpre",
-                  &options.race_options.t_pre);
-    } else if (arg.rfind("--race-skew=", 0) == 0) {
-      options.race = true;
-      double_flag(arg.substr(12), "--race-skew",
-                  &options.race_options.skew);
-    } else if (arg.rfind("--race-margin=", 0) == 0) {
-      options.race = true;
-      double_flag(arg.substr(14), "--race-margin",
-                  &options.race_options.margin);
-    } else if (arg == "--prove") {
-      options.prove = true;
-    } else if (arg.rfind("--prove-budget=", 0) == 0) {
-      options.prove = true;
-      int budget = 0;
-      int_flag(arg.substr(15), "--prove-budget", &budget);
-      options.prove_options.node_budget = static_cast<std::uint32_t>(budget);
-    } else if (arg == "--prove-fail-on=error") {
-      options.prove = true;
-      options.prove_fail_on = LintSeverity::kError;
-    } else if (arg == "--prove-fail-on=warning") {
-      options.prove = true;
-      options.prove_fail_on = LintSeverity::kWarning;
-    } else if (arg == "--prove-fail-on=info") {
-      options.prove = true;
-      options.prove_fail_on = LintSeverity::kInfo;
-    } else if (arg == "--prove-strict") {
-      options.prove = true;
-      options.prove_options.fail_on_budget = true;
     } else if (arg.rfind("--prove-json=", 0) == 0) {
       options.prove = true;
       prove_json_path = arg.substr(13);
+    } else if (parse_analyzer_flag(arg, options, &error)) {
+      if (!error.empty()) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        usage(argv[0]);
+      }
     } else if (arg == "--diag-json") {
       diag_json = true;
     } else if (arg.rfind("--", 0) == 0) {

@@ -27,19 +27,14 @@
 ///
 /// Flow knobs: --flow=domino|rs|soi --wmax=N --hmax=N
 ///             --seq-aware --exact --verify=N
-///             --csa --csa-margin=X  (static charge-sharing / PBE-safety
-///             analysis per job; the retry ladder shrinks its state
-///             enumeration before relaxing other limits — docs/CSA.md)
-///             --race --race-phases=N --race-teval=X --race-tpre=X
-///             --race-skew=X --race-margin=X  (static phase / race
-///             analysis per job; the ladder drops the clock windows
-///             before relaxing other limits — docs/RACE.md)
-///             --prove --prove-budget=N --prove-fail-on=SEV --prove-strict
-///             (exact proof tier over the analyzer findings; refuted
-///             findings are downgraded before the fail-on gates, and the
-///             verdict counts ride the journal / manifest byte-identically
-///             across --resume — docs/PROVE.md)
+///             plus the analyzer flags listed once in README.md "Analyzer
+///             flags".  Analyzers run per job: the retry ladder shrinks
+///             csa's state enumeration and drops race's clock windows
+///             before relaxing other limits (docs/CSA.md, docs/RACE.md),
+///             and the proof verdict counts ride the journal / manifest
+///             byte-identically across --resume (docs/PROVE.md).
 ///
+/// Flow options are validated before any job runs: a bad value exits 64.
 /// Exit codes (docs/ERRORS.md): 0 all jobs ok (or terminal with
 /// --allow-failures), 7 some jobs failed/quarantined, 6 batch aborted
 /// (journal I/O), 130/143 interrupted by SIGINT/SIGTERM, 64 bad usage.
@@ -53,6 +48,7 @@
 #include "soidom/batch/runner.hpp"
 #include "soidom/batch/signals.hpp"
 #include "soidom/benchgen/registry.hpp"
+#include "soidom/core/flags.hpp"
 
 using namespace soidom;
 
@@ -67,13 +63,8 @@ namespace {
       "          [--inject=N/D@SEED] [--allow-failures]\n"
       "          [--flow=domino|rs|soi] [--wmax=N] [--hmax=N]\n"
       "          [--seq-aware] [--exact] [--verify=N]\n"
-      "          [--csa] [--csa-margin=X]\n"
-      "          [--race] [--race-phases=N] [--race-teval=X] [--race-tpre=X]\n"
-      "          [--race-skew=X] [--race-margin=X]\n"
-      "          [--prove] [--prove-budget=N]\n"
-      "          [--prove-fail-on=error|warning|info] [--prove-strict]\n"
-      "          [circuit.blif ...]\n",
-      argv0);
+      "          [analyzer flags] [circuit.blif ...]\n%s",
+      argv0, kAnalyzerFlagUsage);
   std::exit(64);
 }
 
@@ -114,20 +105,12 @@ int main(int argc, char** argv) {
   bool allow_failures = false;
   std::vector<std::string> named;
   std::vector<std::string> files;
+  std::string error;
 
-  // Strict numeric parses: atoi/atof would turn "--jobs=all" or
-  // "--csa-margin=high" into 0 silently.
+  // Strict numeric parse: atoi would turn "--jobs=all" into 0 silently.
   auto int_flag = [&](const std::string& text, const char* flag, int* out) {
     if (!parse_int_strict(text, out)) {
       std::fprintf(stderr, "error: %s needs an integer, got '%s'\n", flag,
-                   text.c_str());
-      usage(argv[0]);
-    }
-  };
-  auto double_flag = [&](const std::string& text, const char* flag,
-                         double* out) {
-    if (!parse_double_strict(text, out)) {
-      std::fprintf(stderr, "error: %s needs a number, got '%s'\n", flag,
                    text.c_str());
       usage(argv[0]);
     }
@@ -186,54 +169,11 @@ int main(int argc, char** argv) {
       options.flow.exact_equivalence = true;
     } else if (arg.rfind("--verify=", 0) == 0) {
       int_flag(arg.substr(9), "--verify", &options.flow.verify_rounds);
-    } else if (arg == "--csa") {
-      options.flow.csa = true;
-    } else if (arg.rfind("--csa-margin=", 0) == 0) {
-      options.flow.csa = true;
-      double_flag(arg.substr(13), "--csa-margin",
-                  &options.flow.csa_options.margin);
-    } else if (arg == "--race") {
-      options.flow.race = true;
-    } else if (arg.rfind("--race-phases=", 0) == 0) {
-      options.flow.race = true;
-      int_flag(arg.substr(14), "--race-phases",
-               &options.flow.race_options.num_phases);
-    } else if (arg.rfind("--race-teval=", 0) == 0) {
-      options.flow.race = true;
-      double_flag(arg.substr(13), "--race-teval",
-                  &options.flow.race_options.t_eval);
-    } else if (arg.rfind("--race-tpre=", 0) == 0) {
-      options.flow.race = true;
-      double_flag(arg.substr(12), "--race-tpre",
-                  &options.flow.race_options.t_pre);
-    } else if (arg.rfind("--race-skew=", 0) == 0) {
-      options.flow.race = true;
-      double_flag(arg.substr(12), "--race-skew",
-                  &options.flow.race_options.skew);
-    } else if (arg.rfind("--race-margin=", 0) == 0) {
-      options.flow.race = true;
-      double_flag(arg.substr(14), "--race-margin",
-                  &options.flow.race_options.margin);
-    } else if (arg == "--prove") {
-      options.flow.prove = true;
-    } else if (arg.rfind("--prove-budget=", 0) == 0) {
-      options.flow.prove = true;
-      int budget = 0;
-      int_flag(arg.substr(15), "--prove-budget", &budget);
-      options.flow.prove_options.node_budget =
-          static_cast<std::uint32_t>(budget);
-    } else if (arg == "--prove-fail-on=error") {
-      options.flow.prove = true;
-      options.flow.prove_fail_on = LintSeverity::kError;
-    } else if (arg == "--prove-fail-on=warning") {
-      options.flow.prove = true;
-      options.flow.prove_fail_on = LintSeverity::kWarning;
-    } else if (arg == "--prove-fail-on=info") {
-      options.flow.prove = true;
-      options.flow.prove_fail_on = LintSeverity::kInfo;
-    } else if (arg == "--prove-strict") {
-      options.flow.prove = true;
-      options.flow.prove_options.fail_on_budget = true;
+    } else if (parse_analyzer_flag(arg, options.flow, &error)) {
+      if (!error.empty()) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
+        usage(argv[0]);
+      }
     } else if (arg.rfind("--", 0) == 0) {
       usage(argv[0]);
     } else {
@@ -269,6 +209,7 @@ int main(int argc, char** argv) {
 
   BatchResult result;
   try {
+    validate(options.flow);
     result = run_batch(jobs, options, hooks);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -207,8 +207,9 @@ struct FlowOutcome {
 };
 
 /// Validate every flow knob up front (delegates mapper knobs to
-/// validate(MapperOptions)); throws soidom::Error naming the offending
-/// field and value.
+/// validate(MapperOptions) and the options of each enabled analyzer to
+/// validate(CsaOptions / RaceOptions / ProveOptions)); throws
+/// soidom::Error naming the offending field and value.
 void validate(const FlowOptions& options);
 
 /// Guarded, non-throwing counterparts of run_flow / run_flow_file: all

@@ -37,6 +37,61 @@ Diagnostic warning_from(const GuardError& e, const std::string& note) {
   return d;
 }
 
+/// The analyzer verdict gates in flow order; the first failing one wins.
+/// Each analyzer fails the flow on its unwaived findings at or above its
+/// own fail-on severity (lint errors already failed via `structure`, so
+/// the lint row only fires below kError).  The proof tier then walks the
+/// same reports: a CONFIRMED finding at or above prove_fail_on is a
+/// proven hazard, not a conservative bound, so it fails the flow even
+/// when its family's own gate is looser.
+std::optional<Diagnostic> verdict_gate(const FlowResult& result,
+                                       const FlowOptions& options) {
+  struct Gate {
+    FlowStage stage;
+    const char* label;
+    const LintReport* report;  // null when the analyzer did not run
+    LintSeverity fail_on;
+  };
+  const Gate gates[] = {
+      {FlowStage::kLint, "lint", &result.lint, options.lint_fail_on},
+      {FlowStage::kCsa, "charge-sharing analysis",
+       result.csa ? &result.csa->lint : nullptr, options.csa_fail_on},
+      {FlowStage::kRace, "race analysis",
+       result.race ? &result.race->lint : nullptr, options.race_fail_on},
+  };
+  for (const Gate& gate : gates) {
+    if (gate.report == nullptr || gate.report->clean(gate.fail_on)) continue;
+    Diagnostic d{ErrorCode::kVerificationFailed, gate.stage,
+                 format("%s failed at severity >= %s: %s", gate.label,
+                        lint_severity_name(gate.fail_on),
+                        gate.report->summary().c_str()),
+                 {}};
+    for (const Finding& f : gate.report->findings) {
+      if (!f.waived && f.severity >= gate.fail_on) {
+        d.context.push_back(f.to_string());
+      }
+    }
+    return d;
+  }
+  if (!result.prove.has_value()) return std::nullopt;
+  Diagnostic d{ErrorCode::kVerificationFailed, FlowStage::kProve,
+               format("proof tier confirmed findings at severity >= %s: %s",
+                      lint_severity_name(options.prove_fail_on),
+                      result.prove->summary().c_str()),
+               {}};
+  for (const Gate& gate : gates) {
+    if (gate.report == nullptr) continue;
+    for (const Finding& f : gate.report->findings) {
+      if (!f.waived && f.proof == ProofStatus::kConfirmed &&
+          f.severity >= options.prove_fail_on) {
+        d.context.push_back(f.to_string());
+      }
+    }
+  }
+  if (d.context.empty()) return std::nullopt;
+  return d;
+}
+
 /// The stage sequence shared by every entry point.  Fills out.result on
 /// success (plus out.diagnostic for verification mismatches); failures
 /// propagate as exceptions for the entry points to convert.
@@ -228,74 +283,8 @@ void run_stages(const Network& source, const FlowOptions& options,
                                 FlowStage::kVerifyStructure,
                                 result.structure.to_string(),
                                 {}};
-  } else if (!result.lint.clean(options.lint_fail_on)) {
-    // Sub-error findings only reach here when the caller tightened
-    // lint_fail_on below kError (errors fail via `structure` above).
-    Diagnostic d{ErrorCode::kVerificationFailed, FlowStage::kLint,
-                 format("lint failed at severity >= %s: %s",
-                        lint_severity_name(options.lint_fail_on),
-                        result.lint.summary().c_str()),
-                 {}};
-    for (const Finding& f : result.lint.findings) {
-      if (f.severity >= options.lint_fail_on) d.context.push_back(f.to_string());
-    }
-    out.diagnostic = std::move(d);
-  } else if (result.csa.has_value() &&
-             !result.csa->lint.clean(options.csa_fail_on)) {
-    Diagnostic d{ErrorCode::kVerificationFailed, FlowStage::kCsa,
-                 format("charge-sharing analysis failed at severity >= %s: %s",
-                        lint_severity_name(options.csa_fail_on),
-                        result.csa->lint.summary().c_str()),
-                 {}};
-    for (const Finding& f : result.csa->lint.findings) {
-      if (!f.waived && f.severity >= options.csa_fail_on) {
-        d.context.push_back(f.to_string());
-      }
-    }
-    out.diagnostic = std::move(d);
-  } else if (result.race.has_value() &&
-             !result.race->lint.clean(options.race_fail_on)) {
-    Diagnostic d{ErrorCode::kVerificationFailed, FlowStage::kRace,
-                 format("race analysis failed at severity >= %s: %s",
-                        lint_severity_name(options.race_fail_on),
-                        result.race->lint.summary().c_str()),
-                 {}};
-    for (const Finding& f : result.race->lint.findings) {
-      if (!f.waived && f.severity >= options.race_fail_on) {
-        d.context.push_back(f.to_string());
-      }
-    }
-    out.diagnostic = std::move(d);
-  } else if (result.prove.has_value() && [&] {
-               for (const ProofRecord& r : result.prove->records) {
-                 if (r.status == ProofStatus::kConfirmed) return true;
-               }
-               return false;
-             }()) {
-    // A CONFIRMED finding is a proven hazard, not a conservative bound:
-    // it fails the flow at prove_fail_on even when its family's own gate
-    // is looser.  (Severity is checked per finding below; confirmed
-    // findings keep their original severity.)
-    Diagnostic d{ErrorCode::kVerificationFailed, FlowStage::kProve,
-                 format("proof tier confirmed findings at severity >= %s: %s",
-                        lint_severity_name(options.prove_fail_on),
-                        result.prove->summary().c_str()),
-                 {}};
-    const auto gate_confirmed = [&](const LintReport& report) {
-      for (const Finding& f : report.findings) {
-        if (!f.waived && f.proof == ProofStatus::kConfirmed &&
-            f.severity >= options.prove_fail_on) {
-          d.context.push_back(f.to_string());
-        }
-      }
-    };
-    gate_confirmed(result.lint);
-    if (result.csa.has_value()) gate_confirmed(result.csa->lint);
-    if (result.race.has_value()) gate_confirmed(result.race->lint);
-    if (!d.context.empty()) out.diagnostic = std::move(d);
-  }
-  if (out.diagnostic.has_value()) {
-    // first failing gate wins; fall through to the epilogue
+  } else if (std::optional<Diagnostic> gate = verdict_gate(result, options)) {
+    out.diagnostic = std::move(gate);
   } else if (!result.function.ok()) {
     out.diagnostic = Diagnostic{ErrorCode::kVerificationFailed,
                                 FlowStage::kVerifyFunction,
@@ -365,56 +354,9 @@ void validate(const FlowOptions& options) {
                  format("FlowOptions.bdd_node_limit = %zu is invalid "
                         "(need bdd_node_limit >= 2)",
                         options.bdd_node_limit));
-  if (options.csa) {
-    SOIDOM_REQUIRE(options.csa_options.max_states >= 1,
-                   format("FlowOptions.csa_options.max_states = %ld is "
-                          "invalid (need max_states >= 1)",
-                          options.csa_options.max_states));
-    SOIDOM_REQUIRE(options.csa_options.margin >= 0.0,
-                   format("FlowOptions.csa_options.margin = %g is invalid "
-                          "(need margin >= 0)",
-                          options.csa_options.margin));
-    SOIDOM_REQUIRE(options.csa_options.keeper_strength >= 1,
-                   format("FlowOptions.csa_options.keeper_strength = %d is "
-                          "invalid (need keeper_strength >= 1)",
-                          options.csa_options.keeper_strength));
-    SOIDOM_REQUIRE(options.csa_options.num_threads >= 0,
-                   format("FlowOptions.csa_options.num_threads = %d is "
-                          "invalid (need num_threads >= 0)",
-                          options.csa_options.num_threads));
-  }
-  if (options.prove) {
-    SOIDOM_REQUIRE(options.prove_options.node_budget >= 2,
-                   format("FlowOptions.prove_options.node_budget = %u is "
-                          "invalid (need node_budget >= 2)",
-                          options.prove_options.node_budget));
-    SOIDOM_REQUIRE(options.prove_options.num_threads >= 0,
-                   format("FlowOptions.prove_options.num_threads = %d is "
-                          "invalid (need num_threads >= 0)",
-                          options.prove_options.num_threads));
-  }
-  if (options.race) {
-    SOIDOM_REQUIRE(options.race_options.num_phases >= 1,
-                   format("FlowOptions.race_options.num_phases = %d is "
-                          "invalid (need num_phases >= 1)",
-                          options.race_options.num_phases));
-    SOIDOM_REQUIRE(options.race_options.t_eval >= 0.0 &&
-                       options.race_options.t_pre >= 0.0,
-                   format("FlowOptions.race_options windows t_eval = %g / "
-                          "t_pre = %g are invalid (need >= 0)",
-                          options.race_options.t_eval,
-                          options.race_options.t_pre));
-    SOIDOM_REQUIRE(options.race_options.skew >= 0.0 &&
-                       options.race_options.margin >= 0.0,
-                   format("FlowOptions.race_options skew = %g / margin = %g "
-                          "are invalid (need >= 0)",
-                          options.race_options.skew,
-                          options.race_options.margin));
-    SOIDOM_REQUIRE(options.race_options.num_threads >= 0,
-                   format("FlowOptions.race_options.num_threads = %d is "
-                          "invalid (need num_threads >= 0)",
-                          options.race_options.num_threads));
-  }
+  if (options.csa) validate(options.csa_options);
+  if (options.race) validate(options.race_options);
+  if (options.prove) validate(options.prove_options);
 }
 
 FlowOutcome run_flow_guarded(const Network& source, const FlowOptions& options,

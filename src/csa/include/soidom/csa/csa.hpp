@@ -122,6 +122,11 @@ struct CsaOptions {
   std::vector<std::string> waivers;
 };
 
+/// Check every CsaOptions knob; throws soidom::Error naming the offending
+/// field and value.  Called by run_csa, bound_pulldown and
+/// validate(FlowOptions).
+void validate(const CsaOptions& options);
+
 /// Conservative bound for one pulldown network.
 struct CsaPulldownBound {
   /// Worst-case dynamic-node droop in volts (may exceed vdd when the

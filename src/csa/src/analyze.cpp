@@ -128,8 +128,7 @@ CsaPulldownBound bound_pulldown(const CsaPdnModel& model,
                                 const CsaStateCallbacks& callbacks) {
   SOIDOM_REQUIRE(caps.size() == static_cast<std::size_t>(model.num_nodes),
                  "bound_pulldown: caps do not match the model");
-  SOIDOM_REQUIRE(options.max_states >= 1,
-                 "bound_pulldown: max_states must be at least 1");
+  validate(options);
   const double vdd = options.charge.vdd;
   const double q_pbe = options.charge.q_pbe;
   const double c_dyn = caps[kCsaDynamicNode];
@@ -313,11 +312,26 @@ std::string CsaReport::to_json() const {
   return out;
 }
 
-CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
+void validate(const CsaOptions& options) {
   SOIDOM_REQUIRE(options.max_states >= 1,
-                 "run_csa: max_states must be at least 1");
+                 format("CsaOptions.max_states = %ld is invalid "
+                        "(need max_states >= 1)",
+                        options.max_states));
+  SOIDOM_REQUIRE(options.margin >= 0.0,
+                 format("CsaOptions.margin = %g is invalid (need margin >= 0)",
+                        options.margin));
+  SOIDOM_REQUIRE(options.keeper_strength >= 1,
+                 format("CsaOptions.keeper_strength = %d is invalid "
+                        "(need keeper_strength >= 1)",
+                        options.keeper_strength));
   SOIDOM_REQUIRE(options.num_threads >= 0,
-                 "run_csa: num_threads must be non-negative");
+                 format("CsaOptions.num_threads = %d is invalid "
+                        "(need num_threads >= 0)",
+                        options.num_threads));
+}
+
+CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
+  validate(options);
   StageScope stage_scope(FlowStage::kCsa);
   SOIDOM_FAULT_PROBE(FlowStage::kCsa);
   guard_checkpoint();

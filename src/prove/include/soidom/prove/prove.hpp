@@ -69,6 +69,11 @@ struct ProveOptions {
   bool fail_on_budget = false;
 };
 
+/// Check every ProveOptions knob; throws soidom::Error naming the
+/// offending field and value.  Called by run_prove and
+/// validate(FlowOptions).
+void validate(const ProveOptions& options);
+
 /// Witness of a confirmed finding.
 struct ProofWitness {
   /// Source-PI assignment reaching the flagged state, as (name, value)

@@ -972,15 +972,23 @@ std::string ProveReport::to_json() const {
   return out;
 }
 
+void validate(const ProveOptions& options) {
+  SOIDOM_REQUIRE(options.node_budget >= 2,
+                 format("ProveOptions.node_budget = %u is invalid "
+                        "(need node_budget >= 2)",
+                        options.node_budget));
+  SOIDOM_REQUIRE(options.num_threads >= 0,
+                 format("ProveOptions.num_threads = %d is invalid "
+                        "(need num_threads >= 0)",
+                        options.num_threads));
+}
+
 ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
                       CsaResult* csa, RaceResult* race,
                       const LintOptions& lint_options,
                       const CsaOptions& csa_options,
                       const ProveOptions& options) {
-  SOIDOM_REQUIRE(options.node_budget >= 2,
-                 "run_prove: node_budget must be at least 2");
-  SOIDOM_REQUIRE(options.num_threads >= 0,
-                 "run_prove: num_threads must be non-negative");
+  validate(options);
   StageScope stage_scope(FlowStage::kProve);
   SOIDOM_FAULT_PROBE(FlowStage::kProve);
   guard_checkpoint();

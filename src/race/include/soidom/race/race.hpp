@@ -81,6 +81,10 @@ struct RaceOptions {
   std::vector<std::string> waivers;
 };
 
+/// Check every RaceOptions knob; throws soidom::Error naming the offending
+/// field and value.  Called by run_race and validate(FlowOptions).
+void validate(const RaceOptions& options);
+
 /// Per-gate analysis result.
 struct RaceGateReport {
   int gate = -1;

@@ -158,15 +158,27 @@ std::string RaceReport::to_json() const {
   return out;
 }
 
-RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
+void validate(const RaceOptions& options) {
   SOIDOM_REQUIRE(options.num_phases >= 1,
-                 "run_race: num_phases must be at least 1");
+                 format("RaceOptions.num_phases = %d is invalid "
+                        "(need num_phases >= 1)",
+                        options.num_phases));
   SOIDOM_REQUIRE(options.t_eval >= 0.0 && options.t_pre >= 0.0,
-                 "run_race: clock windows must be non-negative");
+                 format("RaceOptions windows t_eval = %g / t_pre = %g are "
+                        "invalid (need >= 0)",
+                        options.t_eval, options.t_pre));
   SOIDOM_REQUIRE(options.skew >= 0.0 && options.margin >= 0.0,
-                 "run_race: skew and margin must be non-negative");
+                 format("RaceOptions skew = %g / margin = %g are invalid "
+                        "(need >= 0)",
+                        options.skew, options.margin));
   SOIDOM_REQUIRE(options.num_threads >= 0,
-                 "run_race: num_threads must be non-negative");
+                 format("RaceOptions.num_threads = %d is invalid "
+                        "(need num_threads >= 0)",
+                        options.num_threads));
+}
+
+RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
+  validate(options);
   StageScope stage_scope(FlowStage::kRace);
   SOIDOM_FAULT_PROBE(FlowStage::kRace);
   guard_checkpoint();
