@@ -3,7 +3,7 @@
 /// work), then times run_prove() at 1, 2 and N threads (N = hardware
 /// concurrency), asserts the prove report AND every refined analyzer
 /// report are byte-identical across thread counts, and emits
-/// BENCH_prove.json (same shape as BENCH_race.json; see DESIGN.md
+/// BENCH_prove.json (same shape as BENCH_csa.json; see DESIGN.md
 /// section 8) including per-circuit verdict counts and refutation rate.
 ///
 /// Usage: perf_prove [output.json]   (default BENCH_prove.json)

@@ -2,9 +2,10 @@
 /// Resilient multi-circuit batch runner over the guarded flow.
 ///
 /// Every front end so far maps one circuit in-process; a single hang,
-/// BDD blow-up, or crash loses the whole run.  run_batch schedules many
-/// run_flow_guarded jobs over a base/parallel.hpp ThreadPool and makes
-/// the campaign survive the misbehavior of any one of them:
+/// BDD blow-up, or crash loses the whole run.  run_batch runs many
+/// run_flow_guarded jobs through base/parallel.hpp's parallel_for (at
+/// most min(max_parallel, jobs) workers) and makes the campaign survive
+/// the misbehavior of any one of them:
 ///
 ///  * watchdog  — a dedicated thread cancels (via CancelToken) any job
 ///    that exceeds its wall-clock budget, and propagates SIGINT/SIGTERM

@@ -405,10 +405,8 @@ BatchResult run_batch(const std::vector<BatchJob>& jobs,
 
   {
     Watchdog watchdog;
-    ThreadPool pool(options.max_parallel == 0
-                        ? 0u
-                        : static_cast<unsigned>(options.max_parallel));
-    pool.run(jobs.size(), [&](std::size_t i, unsigned) {
+    parallel_for(static_cast<unsigned>(options.max_parallel), jobs.size(),
+                 [&](std::size_t i) {
       JobOutcome& out = result.jobs[i];
       const auto it = prior.find(jobs[i].name);
       if (it != prior.end()) {

@@ -164,6 +164,16 @@ std::vector<std::uint32_t> csa_state_signals(const CsaPdnModel& model);
 /// csa_free_nodes()[i].
 std::vector<std::uint16_t> csa_free_nodes(const CsaPdnModel& model);
 
+/// Flood from the dynamic node over the devices where `edge_on[t]`,
+/// marking the reached nodes in `member`.  When `clamp_bottom`, the bottom
+/// terminal is never entered (the flood stops there, only recording
+/// reachability); otherwise it is a regular node.  `stack` is scratch
+/// space, reusable across calls.  Returns whether the bottom terminal was
+/// reached.
+bool csa_flood(const CsaPdnModel& model, const std::vector<bool>& edge_on,
+               bool clamp_bottom, std::vector<bool>& member,
+               std::vector<std::uint16_t>& stack);
+
 /// Hooks into the state enumeration, used by the exact proof tier
 /// (src/prove) to restrict the bound to reachable input assignments and
 /// to pick replayable witness states.  Both hooks are optional.

@@ -36,13 +36,31 @@
 namespace soidom {
 namespace {
 
-/// Flood from the dynamic node over devices where `edge_on[t]`.  When
-/// `clamp_bottom`, the bottom terminal is never entered (the flood stops
-/// there, only recording reachability); otherwise it is a regular node.
-/// Returns whether the bottom terminal was reached.
-bool flood(const CsaPdnModel& model, const std::vector<bool>& edge_on,
-           bool clamp_bottom, std::vector<bool>& member,
-           std::vector<std::uint16_t>& stack) {
+std::string state_witness(long state, std::size_t num_signals,
+                          std::size_t num_free) {
+  if (num_signals + num_free == 0) return "trivial";
+  std::string out;
+  if (num_signals > 0) {
+    out += "in=";
+    for (std::size_t i = 0; i < num_signals; ++i) {
+      out += static_cast<char>('0' + ((state >> i) & 1));
+    }
+  }
+  if (num_free > 0) {
+    if (!out.empty()) out += ' ';
+    out += "pre=";
+    for (std::size_t i = 0; i < num_free; ++i) {
+      out += static_cast<char>('0' + ((state >> (num_signals + i)) & 1));
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+bool csa_flood(const CsaPdnModel& model, const std::vector<bool>& edge_on,
+               bool clamp_bottom, std::vector<bool>& member,
+               std::vector<std::uint16_t>& stack) {
   member.assign(static_cast<std::size_t>(model.num_nodes), false);
   member[kCsaDynamicNode] = true;
   stack.assign(1, kCsaDynamicNode);
@@ -72,28 +90,6 @@ bool flood(const CsaPdnModel& model, const std::vector<bool>& edge_on,
   }
   return reached_bottom;
 }
-
-std::string state_witness(long state, std::size_t num_signals,
-                          std::size_t num_free) {
-  if (num_signals + num_free == 0) return "trivial";
-  std::string out;
-  if (num_signals > 0) {
-    out += "in=";
-    for (std::size_t i = 0; i < num_signals; ++i) {
-      out += static_cast<char>('0' + ((state >> i) & 1));
-    }
-  }
-  if (num_free > 0) {
-    if (!out.empty()) out += ' ';
-    out += "pre=";
-    for (std::size_t i = 0; i < num_free; ++i) {
-      out += static_cast<char>('0' + ((state >> (num_signals + i)) & 1));
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<std::uint32_t> csa_state_signals(const CsaPdnModel& model) {
   std::vector<std::uint32_t> signals;
@@ -213,7 +209,9 @@ CsaPulldownBound bound_pulldown(const CsaPdnModel& model,
     // A state where the ON devices alone conduct to ground is a
     // legitimate discharge: the gate is supposed to evaluate low, so
     // there is no droop hazard (the simulator observes 0 there too).
-    if (flood(model, on, /*clamp_bottom=*/false, member, stack)) continue;
+    if (csa_flood(model, on, /*clamp_bottom=*/false, member, stack)) {
+      continue;
+    }
 
     pstate.assign(num_nodes, false);
     pstate[kCsaDynamicNode] = true;  // the precharge device is strong
@@ -234,7 +232,8 @@ CsaPulldownBound bound_pulldown(const CsaPdnModel& model,
     // sharing extent.  Clamped at the bottom terminal — when a parasitic
     // path reaches ground with the keeper holding, the keeper replenishes
     // what flows past the clamp (matching soisim's observation model).
-    const bool reached = flood(model, edge, /*clamp_bottom=*/true, member, stack);
+    const bool reached =
+        csa_flood(model, edge, /*clamp_bottom=*/true, member, stack);
     double share = 0.0;
     for (std::size_t v = 2; v < num_nodes; ++v) {
       if (member[v] && !pstate[v]) share += caps[v];
@@ -342,11 +341,11 @@ CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
   const std::size_t num_gates = netlist.gates().size();
   std::vector<CsaGateReport> slots(num_gates);
   GuardContext* guard = current_guard();
-  ThreadPool pool(static_cast<unsigned>(options.num_threads));
-  pool.run(num_gates, [&](std::size_t g, unsigned worker) {
-    // Worker 0 is the calling thread and already has the guard installed.
+  parallel_for(static_cast<unsigned>(options.num_threads), num_gates,
+               [&](std::size_t g) {
+    // Helper threads do not inherit the caller's thread-local guard.
     std::optional<GuardScope> scope;
-    if (worker != 0 && guard != nullptr) scope.emplace(*guard);
+    if (guard != nullptr) scope.emplace(*guard);
     guard_checkpoint();
     const DominoGate& spec = netlist.gates()[g];
     CsaGateReport& rep = slots[g];

@@ -399,40 +399,6 @@ ProofRecord refine_pbe_protection(const DominoNetlist& netlist,
 // csa.*: reachability-restricted re-enumeration with replay prediction.
 // ---------------------------------------------------------------------------
 
-/// Flood from the dynamic node over `edge_on` devices (mirror of the CSA
-/// enumeration's flood, used for the closed-form replay prediction).
-bool csa_flood(const CsaPdnModel& model, const std::vector<bool>& edge_on,
-               bool clamp_bottom, std::vector<bool>& member) {
-  member.assign(static_cast<std::size_t>(model.num_nodes), false);
-  member[kCsaDynamicNode] = true;
-  std::vector<std::uint16_t> stack{kCsaDynamicNode};
-  bool reached_bottom = false;
-  while (!stack.empty()) {
-    const std::uint16_t node = stack.back();
-    stack.pop_back();
-    for (std::size_t t = 0; t < model.devices.size(); ++t) {
-      if (!edge_on[t]) continue;
-      const CsaDevice& d = model.devices[t];
-      std::uint16_t other;
-      if (d.above == node) {
-        other = d.below;
-      } else if (d.below == node) {
-        other = d.above;
-      } else {
-        continue;
-      }
-      if (other == kCsaBottomNode) {
-        reached_bottom = true;
-        if (clamp_bottom) continue;
-      }
-      if (member[other]) continue;
-      member[other] = true;
-      stack.push_back(other);
-    }
-  }
-  return reached_bottom;
-}
-
 /// Closed-form prediction of what SoiSimulator observes on a single step
 /// from reset under a PI cube consistent with the enumerated state (see
 /// file comment).  Returns the predicted DroopProbe observation, or
@@ -459,8 +425,9 @@ std::optional<double> predict_replay(const CsaPdnModel& model,
                 bit_of(model.devices[t].signal);
   }
   std::vector<bool> component;
+  std::vector<std::uint16_t> stack;
   const bool touches_bottom =
-      csa_flood(model, lit_on, /*clamp_bottom=*/false, component);
+      csa_flood(model, lit_on, /*clamp_bottom=*/false, component, stack);
   std::vector<bool> pre_high(num_nodes, false);
   if (!model.footed && touches_bottom) {
     // Footless gates are clock-grounded during precharge: the component
@@ -483,7 +450,7 @@ std::optional<double> predict_replay(const CsaPdnModel& model,
     on[t] = bit_of(model.devices[t].signal);
   }
   std::vector<bool> member;
-  csa_flood(model, on, /*clamp_bottom=*/true, member);
+  csa_flood(model, on, /*clamp_bottom=*/true, member, stack);
   double shared_low = 0.0;
   double total = 0.0;
   for (std::size_t v = 0; v < num_nodes; ++v) {
@@ -1035,11 +1002,11 @@ ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
   };
   std::vector<Slot> slots(targets.size());
   GuardContext* guard = current_guard();
-  ThreadPool pool(static_cast<unsigned>(options.num_threads));
-  pool.run(targets.size(), [&](std::size_t i, unsigned worker) {
-    // Worker 0 is the calling thread and already has the guard installed.
+  parallel_for(static_cast<unsigned>(options.num_threads), targets.size(),
+               [&](std::size_t i) {
+    // Helper threads do not inherit the caller's thread-local guard.
     std::optional<GuardScope> scope;
-    if (worker != 0 && guard != nullptr) scope.emplace(*guard);
+    if (guard != nullptr) scope.emplace(*guard);
     guard_checkpoint();
     const Target& t = targets[i];
     Slot& slot = slots[i];
@@ -1060,8 +1027,8 @@ ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
       }
     } catch (const GuardError& e) {
       // Only a cone blow-up is an in-band unknown; cancellation, deadline,
-      // and resource-budget trips keep propagating (the pool rethrows the
-      // lowest-index failure after the batch drains).
+      // and resource-budget trips keep propagating (parallel_for rethrows
+      // the lowest-index failure after the range drains).
       if (e.code() != ErrorCode::kBddNodeLimit) throw;
       slot.record = make_record(
           t.rule, t.location, ProofStatus::kUnknown,

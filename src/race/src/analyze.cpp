@@ -17,11 +17,9 @@
 ///    literal is possibly-high in the static precharge-conduction
 ///    dataflow, so the path exists statically too (race.static-mix).
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "soidom/base/contracts.hpp"
-#include "soidom/base/parallel.hpp"
 #include "soidom/base/strings.hpp"
 #include "soidom/guard/fault.hpp"
 #include "soidom/guard/guard.hpp"
@@ -171,10 +169,6 @@ void validate(const RaceOptions& options) {
                  format("RaceOptions skew = %g / margin = %g are invalid "
                         "(need >= 0)",
                         options.skew, options.margin));
-  SOIDOM_REQUIRE(options.num_threads >= 0,
-                 format("RaceOptions.num_threads = %d is invalid "
-                        "(need num_threads >= 0)",
-                        options.num_threads));
 }
 
 RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
@@ -200,34 +194,22 @@ RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
     }
   }
 
-  // Stale-high pass (serial: the precharge-conduction dataflow below
-  // reads every fanin's flag, and gate order is topological).
-  std::vector<char> stale(num_gates, 0);
-  if (options.t_pre > 0.0) {
-    for (std::size_t g = 0; g < num_gates; ++g) {
-      stale[g] = options.t_pre - options.skew - timing.gates[g].pre_max < 0.0
-                     ? 1
-                     : 0;
-    }
-  }
+  // One pass in gate order, which is topological: every fanin's report,
+  // and so its stale_high flag, is final before its fanout reads it.
+  RaceResult result;
+  std::vector<RaceGateReport>& gates = result.report.gates;
+  gates.resize(num_gates);
   // A leaf is possibly high during precharge when it is a PI literal
   // (PIs are not clocked) or a stale-high domino driver.
   const auto precharge_high = [&](std::uint32_t sig) {
     return netlist.is_input_signal(sig) ||
-           stale[netlist.gate_of_signal(sig)] != 0;
+           gates[netlist.gate_of_signal(sig)].stale_high;
   };
-
-  std::vector<RaceGateReport> slots(num_gates);
-  GuardContext* guard = current_guard();
-  ThreadPool pool(static_cast<unsigned>(options.num_threads));
-  pool.run(num_gates, [&](std::size_t g, unsigned worker) {
-    // Worker 0 is the calling thread and already has the guard installed.
-    std::optional<GuardScope> scope;
-    if (worker != 0 && guard != nullptr) scope.emplace(*guard);
+  for (std::size_t g = 0; g < num_gates; ++g) {
     guard_checkpoint();
     const DominoGate& spec = netlist.gates()[g];
     const GateTiming& t = timing.gates[g];
-    RaceGateReport& rep = slots[g];
+    RaceGateReport& rep = gates[g];
     rep.gate = static_cast<int>(g);
     rep.level = levels[g];
     rep.phase = (levels[g] - 1) % options.num_phases;
@@ -265,17 +247,15 @@ RaceResult run_race(const DominoNetlist& netlist, const RaceOptions& options) {
     for (const std::uint32_t sig : fanins) {
       if (netlist.is_input_signal(sig)) continue;
       const std::uint32_t fg = netlist.gate_of_signal(sig);
-      if (stale[fg] != 0) ++rep.nonmonotone_inputs;
+      if (gates[fg].stale_high) ++rep.nonmonotone_inputs;
       const int gap = levels[g] - levels[fg];
       if (gap > 1) {
         ++rep.skip_fanins;
         rep.max_fanin_gap = std::max(rep.max_fanin_gap, gap);
       }
     }
-  });
+  }
 
-  RaceResult result;
-  result.report.gates = std::move(slots);
   result.report.num_phases = options.num_phases;
   result.report.t_eval = options.t_eval;
   result.report.t_pre = options.t_pre;

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "soidom/base/contracts.hpp"
+#include "soidom/base/parallel.hpp"
 #include "soidom/base/rng.hpp"
 #include "soidom/base/strings.hpp"
 
@@ -165,6 +170,44 @@ TEST(Contracts, ErrorMessagePreserved) {
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "specific message");
   }
+}
+
+TEST(Parallel, EveryItemRunsExactlyOnce) {
+  for (const unsigned threads : {0u, 1u, 2u, 4u, 64u}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{3}, std::size_t{1000}}) {
+      std::vector<std::atomic<int>> runs(n);
+      parallel_for(threads, n, [&](std::size_t i) { ++runs[i]; });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1)
+            << "threads=" << threads << " n=" << n << " item=" << i;
+      }
+    }
+  }
+}
+
+TEST(Parallel, LowestIndexExceptionWins) {
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    try {
+      parallel_for(4, 1000, [](std::size_t i) {
+        if (i == 5 || i == 700) throw std::runtime_error(std::to_string(i));
+      });
+      FAIL() << "no exception rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "5") << "repeat " << repeat;
+    }
+  }
+}
+
+TEST(Parallel, InlineThrowSkipsLaterItems) {
+  std::vector<int> ran;
+  EXPECT_THROW(parallel_for(1, 10,
+                            [&](std::size_t i) {
+                              ran.push_back(static_cast<int>(i));
+                              if (i == 3) throw std::runtime_error("3");
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3}));
 }
 
 }  // namespace
