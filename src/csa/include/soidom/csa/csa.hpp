@@ -178,13 +178,17 @@ bool csa_flood(const CsaPdnModel& model, const std::vector<bool>& edge_on,
 /// (src/prove) to restrict the bound to reachable input assignments and
 /// to pick replayable witness states.  Both hooks are optional.
 struct CsaStateCallbacks {
-  /// Called once per enumerated input assignment (before its precharge
-  /// states are expanded); return false to exclude the assignment — and
+  /// Called once per input assignment, memoised: states are evaluated in
+  /// blocks of 64, and each block first calls admit for every input
+  /// assignment of the block not seen before, ascending, then makes the
+  /// block's visit calls.  Return false to exclude the assignment — and
   /// every precharge state over it — from the bound.  `inputs[i]` is the
   /// value of csa_state_signals()[i].
   std::function<bool(const std::vector<bool>& inputs)> admit;
   /// Called for every admitted, non-legit-discharge state with its droop
-  /// contribution.  `precharge[i]` is the value of csa_free_nodes()[i].
+  /// contribution, in ascending state order (a state's input bits are its
+  /// low bits, its precharge bits above them).  `precharge[i]` is the
+  /// value of csa_free_nodes()[i].
   std::function<void(const std::vector<bool>& inputs,
                      const std::vector<bool>& precharge, double droop,
                      double share_cap, int firings, bool flip)>

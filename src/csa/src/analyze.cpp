@@ -24,6 +24,7 @@
 ///    takes max(formula, vdd).
 /// The truncation fallback takes S over ALL junctions and F over ALL
 /// candidate-eligible devices, which dominates every state.
+#include <bit>
 #include <optional>
 
 #include "soidom/base/contracts.hpp"
@@ -54,6 +55,58 @@ std::string state_witness(long state, std::size_t num_signals,
     }
   }
   return out;
+}
+
+/// Lane patterns of the state bits below 6: lane l of a 64-state block
+/// holds bit b of l.
+constexpr std::uint64_t kLanePattern[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
+/// State bit `bit` across the 64 lanes of the block starting at `base`
+/// (a multiple of 64): a fixed lane pattern below bit 6, constant above.
+std::uint64_t state_bit_word(std::size_t bit, long base) {
+  if (bit < 6) return kLanePattern[bit];
+  return ((base >> bit) & 1) != 0 ? ~std::uint64_t{0} : 0;
+}
+
+/// csa_flood for 64 states at once: floods from the dynamic node in the
+/// lanes of `lanes` over the devices whose `edge` word has the lane set,
+/// leaving each node's reached lanes in `member`.  A fixpoint over the
+/// device list, both directions per device.  Returns the lanes that reach
+/// the bottom terminal; with `clamp_bottom` the flood never enters it.
+std::uint64_t flood_lanes(const CsaPdnModel& model,
+                          const std::vector<std::uint64_t>& edge,
+                          std::uint64_t lanes, bool clamp_bottom,
+                          std::vector<std::uint64_t>& member) {
+  std::fill(member.begin(), member.end(), 0);
+  member[kCsaDynamicNode] = lanes;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t t = 0; t < model.devices.size(); ++t) {
+      const std::uint64_t e = edge[t];
+      if (e == 0) continue;
+      const CsaDevice& d = model.devices[t];
+      const std::uint64_t above = member[d.above];
+      const std::uint64_t below = member[d.below];
+      const std::uint64_t grow_below =
+          clamp_bottom && d.below == kCsaBottomNode ? 0 : above & e & ~below;
+      const std::uint64_t grow_above =
+          clamp_bottom && d.above == kCsaBottomNode ? 0 : below & e & ~above;
+      if ((grow_below | grow_above) == 0) continue;
+      member[d.below] |= grow_below;
+      member[d.above] |= grow_above;
+      changed = true;
+    }
+  }
+  if (!clamp_bottom) return member[kCsaBottomNode];
+  std::uint64_t reached = 0;
+  for (std::size_t t = 0; t < model.devices.size(); ++t) {
+    const CsaDevice& d = model.devices[t];
+    if (d.below == kCsaBottomNode) reached |= member[d.above] & edge[t];
+    if (d.above == kCsaBottomNode) reached |= member[d.below] & edge[t];
+  }
+  return reached;
 }
 
 }  // namespace
@@ -175,98 +228,133 @@ CsaPulldownBound bound_pulldown(const CsaPdnModel& model,
     return bound;
   }
 
+  // States are evaluated 64 at a time: lane l of the block starting at
+  // `base` is state base + l, and every per-device / per-node quantity is
+  // a 64-lane word.
   const long num_states = 1L << bits;
   bound.states = num_states;
-  std::vector<bool> on(model.devices.size());
-  std::vector<bool> cand(model.devices.size());
-  std::vector<bool> edge(model.devices.size());
-  std::vector<bool> pstate(num_nodes);
-  std::vector<bool> member(num_nodes);
-  std::vector<std::uint16_t> stack;
+  const std::uint64_t all_lanes =
+      num_states >= 64 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << num_states) - 1;
+  // Only devices whose below node is a free junction can turn parasitic
+  // (their below node may be precharged high and is not discharged).
+  std::vector<bool> eligible(model.devices.size());
+  for (std::size_t t = 0; t < model.devices.size(); ++t) {
+    const std::uint16_t below = model.devices[t].below;
+    eligible[t] = below >= 2 && !discharged[below];
+  }
+  std::vector<std::uint64_t> on(model.devices.size());
+  std::vector<std::uint64_t> cand(model.devices.size());
+  std::vector<std::uint64_t> edge(model.devices.size());
+  std::vector<std::uint64_t> pstate(num_nodes, 0);
+  std::vector<std::uint64_t> member(num_nodes);
   // admit() depends only on the input bits (the low bits of s, cycling
   // fastest), so its verdicts are memoized per input assignment.
+  const std::size_t input_mask = (std::size_t{1} << signals.size()) - 1;
   std::vector<signed char> admit_cache;
-  if (callbacks.admit) admit_cache.assign(1uL << signals.size(), -1);
+  if (callbacks.admit) admit_cache.assign(input_mask + 1, -1);
   std::vector<bool> in_vec(signals.size());
   std::vector<bool> pre_vec(free_nodes.size());
-
-  for (long s = 0; s < num_states; ++s) {
-    if ((s & 255) == 0) guard_checkpoint();
-    for (std::size_t t = 0; t < model.devices.size(); ++t) {
-      on[t] = ((s >> signal_bit[t]) & 1) != 0;
+  const auto unpack = [&](long s) {
+    for (std::size_t i = 0; i < signals.size(); ++i) {
+      in_vec[i] = ((s >> i) & 1) != 0;
     }
+    for (std::size_t i = 0; i < free_nodes.size(); ++i) {
+      pre_vec[i] = ((s >> (signals.size() + i)) & 1) != 0;
+    }
+  };
+
+  for (long base = 0; base < num_states; base += 64) {
+    if ((base & 255) == 0) guard_checkpoint();
+    for (std::size_t t = 0; t < model.devices.size(); ++t) {
+      on[t] = state_bit_word(signal_bit[t], base);
+    }
+    std::uint64_t active = all_lanes;
     if (callbacks.admit) {
-      const auto in_key =
-          static_cast<std::size_t>(s) & ((1uL << signals.size()) - 1);
-      if (admit_cache[in_key] < 0) {
-        for (std::size_t i = 0; i < signals.size(); ++i) {
-          in_vec[i] = ((s >> i) & 1) != 0;
+      for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
+        const int lane = std::countr_zero(lanes);
+        const std::size_t in_key =
+            static_cast<std::size_t>(base + lane) & input_mask;
+        if (admit_cache[in_key] < 0) {
+          unpack(base + lane);
+          admit_cache[in_key] = callbacks.admit(in_vec) ? 1 : 0;
         }
-        admit_cache[in_key] = callbacks.admit(in_vec) ? 1 : 0;
+        if (admit_cache[in_key] == 0) active &= ~(std::uint64_t{1} << lane);
       }
-      if (admit_cache[in_key] == 0) continue;
     }
     // A state where the ON devices alone conduct to ground is a
     // legitimate discharge: the gate is supposed to evaluate low, so
     // there is no droop hazard (the simulator observes 0 there too).
-    if (csa_flood(model, on, /*clamp_bottom=*/false, member, stack)) {
-      continue;
-    }
+    active &= ~flood_lanes(model, on, active, /*clamp_bottom=*/false, member);
+    if (active == 0) continue;
 
-    pstate.assign(num_nodes, false);
-    pstate[kCsaDynamicNode] = true;  // the precharge device is strong
     for (std::size_t i = 0; i < free_nodes.size(); ++i) {
-      pstate[free_nodes[i]] = ((s >> (signals.size() + i)) & 1) != 0;
+      pstate[free_nodes[i]] = state_bit_word(signals.size() + i, base);
     }
     // Candidate parasitic devices: OFF, below node an internal junction
     // that is precharged high and not pulled low by a discharge pMOS.
-    int num_cand = 0;
     for (std::size_t t = 0; t < model.devices.size(); ++t) {
-      const CsaDevice& d = model.devices[t];
-      cand[t] = !on[t] && d.below >= 2 && !discharged[d.below] && pstate[d.below];
-      if (cand[t]) ++num_cand;
-      edge[t] = on[t] || cand[t];
+      cand[t] = eligible[t] ? ~on[t] & pstate[model.devices[t].below] : 0;
+      edge[t] = on[t] | cand[t];
     }
     // Everything ON or candidate may end up conducting: the connected
     // component of the dynamic node over those edges bounds the charge-
     // sharing extent.  Clamped at the bottom terminal — when a parasitic
     // path reaches ground with the keeper holding, the keeper replenishes
     // what flows past the clamp (matching soisim's observation model).
-    const bool reached =
-        csa_flood(model, edge, /*clamp_bottom=*/true, member, stack);
-    double share = 0.0;
+    const std::uint64_t reached =
+        flood_lanes(model, edge, active, /*clamp_bottom=*/true, member);
+
+    // Per-lane tail.  Each lane's shared capacitance is summed over v
+    // ascending, so every double (and the report bytes) is independent
+    // of how states are grouped into words.
+    double share[64] = {};
+    int firings[64] = {};
+    int num_cand[64] = {};
     for (std::size_t v = 2; v < num_nodes; ++v) {
-      if (member[v] && !pstate[v]) share += caps[v];
+      for (std::uint64_t lanes = member[v] & ~pstate[v] & active; lanes != 0;
+           lanes &= lanes - 1) {
+        share[std::countr_zero(lanes)] += caps[v];
+      }
     }
-    int firings = 0;
     for (std::size_t t = 0; t < model.devices.size(); ++t) {
-      if (cand[t] && (member[model.devices[t].above] ||
-                      member[model.devices[t].below])) {
-        ++firings;
+      const CsaDevice& d = model.devices[t];
+      for (std::uint64_t lanes = cand[t] & active; lanes != 0;
+           lanes &= lanes - 1) {
+        ++num_cand[std::countr_zero(lanes)];
+      }
+      for (std::uint64_t lanes =
+               cand[t] & active & (member[d.above] | member[d.below]);
+           lanes != 0; lanes &= lanes - 1) {
+        ++firings[std::countr_zero(lanes)];
       }
     }
-    // A flip needs a path to ground and enough firing devices anywhere in
-    // the gate to overpower the keeper (soisim counts all firings, not
-    // just those on the dynamic node's component).
-    const bool flip = reached && num_cand >= options.keeper_strength;
-    double droop = vdd * share / (c_dyn + share) + q_pbe * firings / c_dyn;
-    if (flip) droop = std::max(droop, vdd);
-    if (callbacks.visit) {
-      for (std::size_t i = 0; i < signals.size(); ++i) {
-        in_vec[i] = ((s >> i) & 1) != 0;
+    for (std::uint64_t lanes = active; lanes != 0; lanes &= lanes - 1) {
+      const int lane = std::countr_zero(lanes);
+      const long s = base + lane;
+      // A flip needs a path to ground and enough firing devices anywhere
+      // in the gate to overpower the keeper (soisim counts all firings,
+      // not just those on the dynamic node's component).
+      const bool lane_reached = ((reached >> lane) & 1) != 0;
+      const bool flip =
+          lane_reached && num_cand[lane] >= options.keeper_strength;
+      double droop = vdd * share[lane] / (c_dyn + share[lane]) +
+                     q_pbe * firings[lane] / c_dyn;
+      if (flip) droop = std::max(droop, vdd);
+      if (callbacks.visit) {
+        unpack(s);
+        callbacks.visit(in_vec, pre_vec, droop, share[lane], firings[lane],
+                        flip);
       }
-      for (std::size_t i = 0; i < free_nodes.size(); ++i) {
-        pre_vec[i] = ((s >> (signals.size() + i)) & 1) != 0;
+      bound.ground_reachable = bound.ground_reachable || lane_reached;
+      bound.keeper_overpowered = bound.keeper_overpowered || flip;
+      if (droop > bound.droop) {
+        bound.droop = droop;
+        bound.share_cap = share[lane];
+        bound.firings = firings[lane];
+        bound.worst_state =
+            state_witness(s, signals.size(), free_nodes.size());
       }
-      callbacks.visit(in_vec, pre_vec, droop, share, firings, flip);
-    }
-    bound.ground_reachable = bound.ground_reachable || reached;
-    bound.keeper_overpowered = bound.keeper_overpowered || flip;
-    if (droop > bound.droop) {
-      bound.droop = droop;
-      bound.share_cap = share;
-      bound.firings = firings;
-      bound.worst_state = state_witness(s, signals.size(), free_nodes.size());
     }
   }
   if (bound.worst_state.empty()) bound.worst_state = "none";
