@@ -33,13 +33,6 @@ std::unordered_map<std::string, std::size_t> index_by_name(
   return map;
 }
 
-std::vector<std::string> pi_names(const Network& net) {
-  std::vector<std::string> names;
-  names.reserve(net.pis().size());
-  for (const NodeId pi : net.pis()) names.push_back(net.pi_name(pi));
-  return names;
-}
-
 std::vector<std::string> output_names(const Network& net) {
   std::vector<std::string> names;
   names.reserve(net.outputs().size());
@@ -158,7 +151,7 @@ std::optional<EquivalenceCheck> equivalent_exact_cex(
   // b's PI k reads the variable of the same-named PI of a; b's outputs
   // are permuted into a's output order before comparing.
   const std::vector<std::size_t> pi_map =
-      match_interface(pi_names(a), pi_names(b), "PI");
+      match_interface(a.pi_names(), b.pi_names(), "PI");
   const std::vector<std::size_t> out_map =
       match_interface(output_names(a), output_names(b), "output");
   std::vector<unsigned> b_pi_vars(pi_map.size());

@@ -1,6 +1,6 @@
-#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 
 #include "soidom/base/contracts.hpp"
 #include "soidom/base/strings.hpp"
@@ -75,6 +75,10 @@ int BlifModel::table_defining(std::string_view signal) const {
 BlifModel parse_blif(std::string_view text) {
   const auto lines = logical_lines(text);
   BlifModel model;
+  // Names of the .inputs and of the tables' outputs.  The views point into
+  // `lines`, which outlives them and never moves, unlike `model.tables`.
+  std::unordered_set<std::string_view> input_names;
+  std::unordered_set<std::string_view> table_outputs;
   bool saw_model = false;
   bool ended = false;
   BlifTable* open_table = nullptr;
@@ -100,6 +104,7 @@ BlifModel parse_blif(std::string_view text) {
       } else if (head == ".inputs") {
         for (std::size_t i = 1; i < tokens.size(); ++i) {
           model.inputs.emplace_back(tokens[i]);
+          input_names.insert(tokens[i]);
         }
         close_table();
       } else if (head == ".outputs") {
@@ -116,7 +121,7 @@ BlifModel parse_blif(std::string_view text) {
         table.output = std::string(tokens.back());
         table.cover.num_inputs = table.inputs.size();
         table.cover.on_set = true;
-        if (model.table_defining(table.output) >= 0) {
+        if (!table_outputs.insert(tokens.back()).second) {
           fail(ll.line_number,
                format("signal '%s' defined twice", table.output.c_str()));
         }
@@ -179,9 +184,7 @@ BlifModel parse_blif(std::string_view text) {
 
   // Semantic checks: every output and every table input must be defined.
   auto defined = [&](std::string_view sig) {
-    return std::find(model.inputs.begin(), model.inputs.end(), sig) !=
-               model.inputs.end() ||
-           model.table_defining(sig) >= 0;
+    return input_names.contains(sig) || table_outputs.contains(sig);
   };
   for (const std::string& o : model.outputs) {
     if (!defined(o)) {

@@ -32,9 +32,9 @@ std::string write_blif(const Network& net, const std::string& model_name) {
   std::vector<std::string> signal(net.size());
   signal[kConst0Id.value] = "const0";
   signal[kConst1Id.value] = "const1";
-  for (const NodeId pi : net.pis()) {
-    signal[pi.value] = net.pi_name(pi);
-    model.inputs.push_back(net.pi_name(pi));
+  model.inputs = net.pi_names();
+  for (std::size_t i = 0; i < net.pis().size(); ++i) {
+    signal[net.pis()[i].value] = net.pi_names()[i];
   }
 
   // Emit constants only if referenced.

@@ -85,12 +85,21 @@ Network decompose(const BlifModel& model, const DecomposeOptions& options) {
     return decompose(extracted, rest);
   }
   NetworkBuilder builder;
-  std::unordered_map<std::string, NodeId> signal;
+  // Keys view names held by `model`, which outlives the build.
+  std::unordered_map<std::string_view, NodeId> signal;
 
   for (const std::string& in : model.inputs) {
     SOIDOM_REQUIRE(!signal.contains(in),
                    format("duplicate input '%s'", in.c_str()));
     signal.emplace(in, builder.add_pi(in));
+  }
+
+  // The table defining each signal; the first one wins, as with
+  // BlifModel::table_defining.
+  std::unordered_map<std::string_view, std::size_t> defining;
+  defining.reserve(model.tables.size());
+  for (std::size_t t = 0; t < model.tables.size(); ++t) {
+    defining.try_emplace(model.tables[t].output, t);
   }
 
   // Process tables in dependency order (DFS with cycle detection).
@@ -99,14 +108,14 @@ Network decompose(const BlifModel& model, const DecomposeOptions& options) {
 
   std::function<NodeId(std::string_view)> require_signal =
       [&](std::string_view name) -> NodeId {
-    if (const auto it = signal.find(std::string(name)); it != signal.end()) {
+    if (const auto it = signal.find(name); it != signal.end()) {
       return it->second;
     }
     guard_checkpoint();
-    const int t = model.table_defining(name);
-    SOIDOM_REQUIRE(t >= 0,
+    const auto def = defining.find(name);
+    SOIDOM_REQUIRE(def != defining.end(),
                    format("undefined signal '%s'", std::string(name).c_str()));
-    const auto ti = static_cast<std::size_t>(t);
+    const std::size_t ti = def->second;
     SOIDOM_REQUIRE(mark[ti] != Mark::kActive,
                    format("combinational cycle through '%s'",
                           std::string(name).c_str()));

@@ -88,7 +88,7 @@ ConeKey cone_key(const UnateResult& unate, const MapperOptions& options) {
   }
   for (std::size_t i = 0; i < net.pis().size(); ++i) {
     text += format("pi %zu %u \"%s\"\n", i, net.pis()[i].value,
-                   json_escape(net.pi_name(net.pis()[i])).c_str());
+                   json_escape(net.pi_names()[i]).c_str());
   }
   for (std::size_t i = 0; i < unate.pi_literals.size(); ++i) {
     text += format("lit %zu %d %d\n", i, unate.pi_literals[i].pos,

@@ -109,7 +109,7 @@ class MapperImpl {
       }
     }
     for (std::size_t j = 0; j < net_.pis().size(); ++j) {
-      literals[j].name = net_.pi_name(net_.pis()[j]);
+      literals[j].name = net_.pi_names()[j];
       SOIDOM_ASSERT_MSG(literals[j].source_pi >= 0,
                         "unate PI without a source literal record");
       const std::uint32_t sig = netlist_.add_input(literals[j]);

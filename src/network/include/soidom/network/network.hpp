@@ -109,11 +109,17 @@ class Network {
   NodeId fanin1(NodeId id) const { return node(id).fanin1; }
 
   // --- interface nodes ---------------------------------------------------
+  /// Primary inputs in id order (NetworkBuilder::add_pi appends both).
   const std::vector<NodeId>& pis() const { return pis_; }
   const std::vector<Output>& outputs() const { return outputs_; }
+  /// Names of the primary inputs, parallel to pis().
+  const std::vector<std::string>& pi_names() const { return pi_names_; }
+
+  /// Name of the primary input `id`.  O(number of PIs): it finds `id` in
+  /// pis(); a loop over pis() should read pi_names() by position instead.
   const std::string& pi_name(NodeId id) const;
 
-  /// Index of `id` within pis(), or -1 if not a PI.
+  /// Index of `id` within pis(), or -1 if not a PI.  O(number of PIs).
   int pi_index(NodeId id) const;
 
   // --- analysis ----------------------------------------------------------

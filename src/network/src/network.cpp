@@ -98,10 +98,11 @@ bool Network::is_unate() const {
 
 std::string Network::dump() const {
   std::ostringstream os;
+  std::size_t pi_pos = 0;  // PIs appear in id order, so in pis_ order
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
     os << i << ": " << to_string(n.kind);
-    if (n.kind == NodeKind::kPi) os << " \"" << pi_name(NodeId{static_cast<std::uint32_t>(i)}) << '"';
+    if (n.kind == NodeKind::kPi) os << " \"" << pi_names_[pi_pos++] << '"';
     if (n.fanin_count() >= 1) os << ' ' << n.fanin0.value;
     if (n.fanin_count() >= 2) os << ' ' << n.fanin1.value;
     os << '\n';

@@ -14,11 +14,13 @@ Network rebuild(const Network& net, const std::vector<bool>& keep,
   remap[kConst0Id.value] = kConst0Id;
   remap[kConst1Id.value] = kConst1Id;
 
+  std::size_t pi_pos = 0;
   for (std::uint32_t i = 2; i < net.size(); ++i) {
     const NodeId id{i};
     const Node& n = net.node(id);
     if (n.kind == NodeKind::kPi) {
-      remap[i] = builder.add_pi(net.pi_name(id));
+      // PIs appear in id order, so the next one is pis()[pi_pos].
+      remap[i] = builder.add_pi(net.pi_names()[pi_pos++]);
       continue;
     }
     if (!keep[i]) continue;

@@ -116,8 +116,8 @@ class UnateConverter {
     auto& lits = result_.pi_literals[static_cast<std::size_t>(k)];
     int& slot = negated ? lits.neg : lits.pos;
     if (slot < 0) {
-      const std::string name =
-          negated ? input_.pi_name(pi) + ".bar" : input_.pi_name(pi);
+      const std::string& base = input_.pi_names()[static_cast<std::size_t>(k)];
+      const std::string name = negated ? base + ".bar" : base;
       const NodeId node = builder_.add_pi(name);
       slot = static_cast<int>(builder_.peek().pis().size()) - 1;
       literal_nodes_[key(pi, negated)] = node;

@@ -20,6 +20,16 @@ const char* kAdderBlif = R"(
 .end
 )";
 
+/// The message parse_blif throws on `text`, or "" if it parses.
+std::string parse_error(std::string_view text) {
+  try {
+    parse_blif(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(SopCover, AndEval) {
   const SopCover c = SopCover::and_n(3);
   EXPECT_TRUE(c.eval({true, true, true}));
@@ -131,16 +141,60 @@ TEST(BlifParser, RejectsMalformedCube) {
 }
 
 TEST(BlifParser, RejectsUndefinedSignals) {
-  EXPECT_THROW(parse_blif(".model m\n.inputs a\n.outputs z\n.end\n"), Error);
-  EXPECT_THROW(parse_blif(".model m\n.inputs a\n.outputs z\n"
-                          ".names a ghost z\n11 1\n.end\n"),
-               Error);
+  EXPECT_EQ(parse_error(".model m\n.inputs a\n.outputs z\n.end\n"),
+            "BLIF semantic error: output 'z' is never defined");
+  EXPECT_EQ(parse_error(".model m\n.inputs a\n.outputs z\n"
+                        ".names a ghost z\n11 1\n.end\n"),
+            "BLIF semantic error: signal 'ghost' used by 'z' is never defined");
 }
 
 TEST(BlifParser, RejectsDoubleDefinition) {
-  EXPECT_THROW(parse_blif(".model m\n.inputs a\n.outputs z\n"
-                          ".names a z\n1 1\n.names a z\n0 1\n.end\n"),
-               Error);
+  EXPECT_EQ(parse_error(".model m\n.inputs a\n.outputs z\n"
+                        ".names a z\n1 1\n.names a z\n0 1\n.end\n"),
+            "BLIF parse error at line 6: signal 'z' defined twice");
+}
+
+TEST(BlifParser, DoubleDefinitionIsReportedAtTheSecondNames) {
+  // Raised while parsing, at the second .names: before the malformed cube
+  // that follows it and before any semantic check (output 'y' and fanin
+  // 'ghost' are never defined).
+  EXPECT_EQ(parse_error(".model m\n.inputs a\n.outputs z y\n"
+                        ".names a ghost t\n11 1\n"
+                        ".names a u\n1 1\n"
+                        "# comment line\n"
+                        ".names a \\\n t\n"
+                        "2 1\n.end\n"),
+            "BLIF parse error at line 9: signal 't' defined twice");
+}
+
+TEST(BlifParser, FirstUndefinedOutputIsReported) {
+  // Outputs are checked in .outputs order, before any table fanin.
+  EXPECT_EQ(parse_error(".model m\n.inputs a\n.outputs p y z\n"
+                        ".names a ghost p\n11 1\n.end\n"),
+            "BLIF semantic error: output 'y' is never defined");
+}
+
+TEST(BlifParser, FirstUndefinedFaninInTableOrder) {
+  // Tables are checked in file order and fanins in cube order, not in
+  // dependency order: z's table comes first, and its defined fanin 't'
+  // does not send the check into t's table.
+  EXPECT_EQ(parse_error(".model m\n.inputs a\n.outputs z\n"
+                        ".names t g2 z\n11 1\n"
+                        ".names g1 a t\n11 1\n.end\n"),
+            "BLIF semantic error: signal 'g2' used by 'z' is never defined");
+}
+
+TEST(BlifParser, NamesMayRedefinePrimaryInput) {
+  // Parsing accepts a table whose output is also a primary input;
+  // decompose() binds the name to the input (test_decomp.cpp).
+  const BlifModel m = parse_blif(
+      ".model m\n.inputs a b\n.outputs z\n"
+      ".names b a\n1 1\n.names a z\n1 1\n.end\n");
+  ASSERT_EQ(m.tables.size(), 2u);
+  EXPECT_EQ(m.tables[0].output, "a");
+  EXPECT_EQ(m.table_defining("a"), 0);
+  EXPECT_EQ(m.table_defining("z"), 1);
+  EXPECT_EQ(m.table_defining("b"), -1);
 }
 
 TEST(BlifParser, RejectsMixedPhases) {

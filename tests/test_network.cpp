@@ -61,12 +61,22 @@ TEST(Network, PiNamesAndIndex) {
   NetworkBuilder b;
   const NodeId x = b.add_pi("alpha");
   const NodeId y = b.add_pi("beta");
+  b.add_output(b.add_and(x, y), "z");
+  const NodeId w = b.add_pi("gamma");  // a PI after a gate
   const Network net = std::move(b).build();
   EXPECT_EQ(net.pi_name(x), "alpha");
   EXPECT_EQ(net.pi_name(y), "beta");
   EXPECT_EQ(net.pi_index(x), 0);
   EXPECT_EQ(net.pi_index(y), 1);
+  EXPECT_EQ(net.pi_index(w), 2);
   EXPECT_EQ(net.pi_index(kConst0Id), -1);
+  EXPECT_EQ(net.pi_names(),
+            (std::vector<std::string>{"alpha", "beta", "gamma"}));
+  // dump() and clone() read the names by position.
+  EXPECT_EQ(net.dump(),
+            "0: CONST0\n1: CONST1\n2: PI \"alpha\"\n3: PI \"beta\"\n"
+            "4: AND 2 3\n5: PI \"gamma\"\nPO \"z\" <- 4\n");
+  EXPECT_EQ(clone(net).dump(), net.dump());
 }
 
 TEST(Network, FanoutCounts) {
