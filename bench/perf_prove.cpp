@@ -1,21 +1,18 @@
 /// Proof-tier performance harness: maps paper-suite circuits with the
 /// full analyzer stack (tight droop margin so the proof tier has real
-/// work), then times run_prove() at 1, 2 and N threads (N = hardware
-/// concurrency), asserts the prove report AND every refined analyzer
-/// report are byte-identical across thread counts, and emits
-/// BENCH_prove.json (same shape as BENCH_csa.json; see DESIGN.md
-/// section 8) including per-circuit verdict counts and refutation rate.
+/// work), then times run_prove() (best of 3 calls), checks that every
+/// call yields the same prove report and refined analyzer reports, and
+/// emits BENCH_prove.json with per-circuit verdict counts, refutation
+/// rate and targets/s (tools/check_prove_bench.py gates it).
 ///
 /// Usage: perf_prove [output.json]   (default BENCH_prove.json)
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "soidom/base/parallel.hpp"
 #include "soidom/benchgen/registry.hpp"
 #include "soidom/core/flow.hpp"
 #include "soidom/prove/prove.hpp"
@@ -23,12 +20,6 @@
 namespace {
 
 using namespace soidom;
-
-struct Run {
-  int threads = 1;
-  double wall_ms = 0.0;
-  double targets_per_sec = 0.0;
-};
 
 struct CircuitReport {
   std::string name;
@@ -38,7 +29,8 @@ struct CircuitReport {
   int refuted = 0;
   int unknown = 0;
   int budget_hits = 0;
-  std::vector<Run> runs;
+  double wall_ms = 0.0;
+  double targets_per_sec = 0.0;
   bool identical = true;
 };
 
@@ -87,8 +79,8 @@ ProveInputs prepare(const std::string& name) {
 }
 
 /// Serialized refinement outcome: the prove report plus every report it
-/// mutated, so the cross-thread identity check covers the downgraded
-/// findings too, not just the verdict records.
+/// mutated, so the identity check covers the downgraded findings too,
+/// not just the verdict records.
 std::string refinement_bytes(const ProveReport& report, const LintReport& lint,
                              const CsaResult& csa, const RaceResult& race,
                              const std::string& artifact) {
@@ -96,32 +88,9 @@ std::string refinement_bytes(const ProveReport& report, const LintReport& lint,
          csa.lint.to_sarif(artifact) + race.lint.to_sarif(artifact);
 }
 
-/// Best-of-k wall time for one thread count; each rep refines a fresh
-/// copy of the conservative reports.  Returns the last rep's serialized
-/// refinement via *bytes so the caller can compare thread counts.
-double time_prove(const ProveInputs& in, int threads, int reps,
-                  ProveReport* out, std::string* bytes) {
-  ProveOptions opts;
-  opts.num_threads = threads;
-  double best_ms = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    LintReport lint = in.lint;
-    CsaResult csa = in.csa;
-    RaceResult race = in.race;
-    const auto t0 = std::chrono::steady_clock::now();
-    ProveReport r = run_prove(in.netlist, &lint, &csa, &race, in.lint_options,
-                              in.csa_options, opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    best_ms = std::min(
-        best_ms, std::chrono::duration<double, std::milli>(t1 - t0).count());
-    *bytes = refinement_bytes(r, lint, csa, race, "bench.circuit");
-    *out = std::move(r);
-  }
-  return best_ms;
-}
-
-CircuitReport bench_circuit(const std::string& name,
-                            const std::vector<int>& thread_counts, int reps) {
+/// Best-of-k wall time; each call refines a fresh copy of the
+/// conservative reports, and every call must serialize the same bytes.
+CircuitReport bench_circuit(const std::string& name, int reps) {
   CircuitReport rep;
   rep.name = name;
 
@@ -129,11 +98,20 @@ CircuitReport bench_circuit(const std::string& name,
   rep.gates = in.netlist.gates().size();
 
   std::string reference;
-  for (const int threads : thread_counts) {
-    ProveReport r;
-    std::string bytes;
-    const double ms = time_prove(in, threads, reps, &r, &bytes);
-    if (threads == thread_counts.front()) {
+  double best_ms = 1e300;
+  for (int i = 0; i < reps; ++i) {
+    LintReport lint = in.lint;
+    CsaResult csa = in.csa;
+    RaceResult race = in.race;
+    const auto t0 = std::chrono::steady_clock::now();
+    const ProveReport r = run_prove(in.netlist, &lint, &csa, &race,
+                                    in.lint_options, in.csa_options);
+    const auto t1 = std::chrono::steady_clock::now();
+    best_ms = std::min(
+        best_ms, std::chrono::duration<double, std::milli>(t1 - t0).count());
+    const std::string bytes =
+        refinement_bytes(r, lint, csa, race, "bench.circuit");
+    if (i == 0) {
       reference = bytes;
       rep.targets = r.targets();
       rep.confirmed = r.confirmed;
@@ -143,47 +121,26 @@ CircuitReport bench_circuit(const std::string& name,
     } else if (bytes != reference) {
       rep.identical = false;
     }
-    Run run;
-    run.threads = threads;
-    run.wall_ms = ms;
-    run.targets_per_sec =
-        ms > 0.0 ? static_cast<double>(rep.targets) / (ms / 1000.0) : 0.0;
-    rep.runs.push_back(run);
-    std::printf(
-        "  %-12s %2d thread(s): %8.2f ms  (%d targets: %dc/%dr/%du, "
-        "%.0f targets/s)\n",
-        name.c_str(), threads, ms, rep.targets, rep.confirmed, rep.refuted,
-        rep.unknown, run.targets_per_sec);
   }
+  rep.wall_ms = best_ms;
+  rep.targets_per_sec =
+      best_ms > 0.0 ? static_cast<double>(rep.targets) / (best_ms / 1000.0)
+                    : 0.0;
+  std::printf(
+      "  %-12s %8.2f ms  (%d targets: %dc/%dr/%du, %.0f targets/s)\n",
+      name.c_str(), best_ms, rep.targets, rep.confirmed, rep.refuted,
+      rep.unknown, rep.targets_per_sec);
   return rep;
 }
 
-double speedup_at(const CircuitReport& rep, int threads) {
-  double base = 0.0, at = 0.0;
-  for (const Run& r : rep.runs) {
-    if (r.threads == 1) base = r.wall_ms;
-    if (r.threads == threads) at = r.wall_ms;
-  }
-  return at > 0.0 ? base / at : 0.0;
-}
-
 void write_json(const std::string& path,
-                const std::vector<CircuitReport>& reports,
-                const std::vector<int>& thread_counts) {
+                const std::vector<CircuitReport>& reports) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "FATAL: cannot open %s\n", path.c_str());
     std::abort();
   }
-  const int n_threads = thread_counts.back();
-  std::fprintf(f, "{\n  \"bench\": \"prove\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hardware_thread_count());
-  std::fprintf(f, "  \"thread_counts\": [");
-  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    std::fprintf(f, "%s%d", i ? ", " : "", thread_counts[i]);
-  }
-  std::fprintf(f, "],\n  \"circuits\": [\n");
-  double log_sum = 0.0;
+  std::fprintf(f, "{\n  \"bench\": \"prove\",\n  \"circuits\": [\n");
   bool all_identical = true;
   int total_targets = 0, total_refuted = 0, total_confirmed = 0;
   for (std::size_t i = 0; i < reports.size(); ++i) {
@@ -201,32 +158,20 @@ void write_json(const std::string& path,
                  " \"confirmed\": %d, \"refuted\": %d,\n"
                  "     \"unknown\": %d, \"budget_hits\": %d,"
                  " \"refutation_rate\": %.4f, \"identical\": %s,\n"
-                 "     \"runs\": [",
+                 "     \"wall_ms\": %.3f, \"targets_per_sec\": %.1f}%s\n",
                  rep.name.c_str(), rep.gates, rep.targets, rep.confirmed,
                  rep.refuted, rep.unknown, rep.budget_hits, rate,
-                 rep.identical ? "true" : "false");
-    for (std::size_t j = 0; j < rep.runs.size(); ++j) {
-      const Run& r = rep.runs[j];
-      std::fprintf(f,
-                   "%s\n       {\"threads\": %d, \"wall_ms\": %.3f,"
-                   " \"targets_per_sec\": %.1f}",
-                   j ? "," : "", r.threads, r.wall_ms, r.targets_per_sec);
-    }
-    std::fprintf(f, "],\n     \"speedup_2t\": %.3f, \"speedup_nt\": %.3f}%s\n",
-                 speedup_at(rep, 2), speedup_at(rep, n_threads),
-                 i + 1 < reports.size() ? "," : "");
-    log_sum += std::log(std::max(speedup_at(rep, n_threads), 1e-9));
+                 rep.identical ? "true" : "false", rep.wall_ms,
+                 rep.targets_per_sec, i + 1 < reports.size() ? "," : "");
   }
   const double total_rate =
       total_targets > 0
           ? static_cast<double>(total_refuted) / static_cast<double>(total_targets)
           : 0.0;
   std::fprintf(f,
-               "  ],\n  \"summary\": {\"geomean_speedup_nt\": %.3f,"
-               " \"all_identical\": %s,\n"
+               "  ],\n  \"summary\": {\"all_identical\": %s,\n"
                "    \"total_targets\": %d, \"total_confirmed\": %d,"
                " \"total_refuted\": %d, \"refutation_rate\": %.4f}\n}\n",
-               std::exp(log_sum / static_cast<double>(reports.size())),
                all_identical ? "true" : "false", total_targets,
                total_confirmed, total_refuted, total_rate);
   std::fclose(f);
@@ -236,25 +181,16 @@ void write_json(const std::string& path,
 
 int main(int argc, char** argv) {
   const std::string out = argc > 1 ? argv[1] : "BENCH_prove.json";
-  const int hw = static_cast<int>(hardware_thread_count());
-  std::vector<int> thread_counts = {1, 2, std::max(4, hw)};
-  thread_counts.erase(std::unique(thread_counts.begin(), thread_counts.end()),
-                      thread_counts.end());
-
-  std::printf("perf_prove: hardware_concurrency=%d, thread counts:", hw);
-  for (const int t : thread_counts) std::printf(" %d", t);
-  std::printf("\n");
-
   constexpr int kReps = 3;
   std::vector<CircuitReport> reports;
   // Paper-table circuits with known refutations (b9, c8, x1) plus two
   // confirm-heavy ones; all map + prove in seconds, so the bench stays
   // CI-affordable while exercising every verdict kind.
   for (const char* name : {"b9", "c8", "x1", "count", "mux"}) {
-    reports.push_back(bench_circuit(name, thread_counts, kReps));
+    reports.push_back(bench_circuit(name, kReps));
   }
 
-  write_json(out, reports, thread_counts);
+  write_json(out, reports);
 
   bool ok = true;
   int refuted = 0, confirmed = 0;
@@ -264,7 +200,7 @@ int main(int argc, char** argv) {
     confirmed += rep.confirmed;
   }
   std::printf("wrote %s; %d confirmed / %d refuted; refinements %s across "
-              "thread counts\n",
+              "calls\n",
               out.c_str(), confirmed, refuted,
               ok ? "IDENTICAL" : "DIVERGENT");
   return ok ? 0 : 1;

@@ -18,13 +18,9 @@
 
 namespace soidom {
 
-/// Number of workers `parallel_for(0, ...)` resolves to (hardware
-/// concurrency, at least 1).
-unsigned hardware_thread_count() noexcept;
-
 /// Run `fn(i)` for every i in [0, n), blocking until all items finish.
 /// `threads` counts the calling thread, which takes part; 0 = auto
-/// (hardware_thread_count()).  At most min(threads, n) workers run, so a
+/// (hardware concurrency, at least 1).  At most min(threads, n) workers run, so a
 /// large `threads` never starts a thread without an item to run.  With
 /// `threads <= 1` or `n <= 1` every item runs inline and no thread is
 /// created.  Thread-local state of the caller (e.g. an installed guard)

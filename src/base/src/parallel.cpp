@@ -10,14 +10,9 @@
 
 namespace soidom {
 
-unsigned hardware_thread_count() noexcept {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1u : n;
-}
-
 void parallel_for(unsigned threads, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  if (threads == 0) threads = hardware_thread_count();
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   if (threads <= 1 || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;

@@ -174,7 +174,9 @@ std::string manifest_json(const std::map<std::string, JobRecord>& records) {
       case JobStatus::kQuarantined: ++quarantined; break;
     }
     if (!jobs.empty()) jobs += ",\n  ";
-    jobs += "{" + job_record_fields_json(r) + "}";
+    jobs += '{';
+    jobs += job_record_fields_json(r);
+    jobs += '}';
   }
   const std::string body =
       jobs.empty() ? "[]" : format("[\n  %s\n]", jobs.c_str());

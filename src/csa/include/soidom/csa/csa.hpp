@@ -111,9 +111,6 @@ struct CsaOptions {
   /// State-enumeration ceiling per pulldown; gates needing more states
   /// fall back to the (coarser, still conservative) pointwise-max bound.
   long max_states = 4096;
-  /// Worker threads for the per-gate fan-out; 0 = auto, 1 = sequential.
-  /// Results are byte-identical across thread counts.
-  int num_threads = 1;
   /// Derive device widths with sizing/sizing.hpp (default); otherwise
   /// every device gets unit width.
   bool use_sizing = true;
@@ -250,8 +247,8 @@ LintRegistry csa_registry(const CsaReport& report, const CsaOptions& options);
 
 /// Run the analyzer over a structurally valid netlist.  Thread-compatible
 /// (concurrent calls on distinct netlists are safe); checkpoints the
-/// installed guard under FlowStage::kCsa.  Deterministic: reports and
-/// findings are byte-identical for any num_threads.
+/// installed guard under FlowStage::kCsa.  Runs on the calling thread,
+/// one gate after another; reports and findings are deterministic.
 CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options = {});
 
 }  // namespace soidom

@@ -25,10 +25,8 @@
 /// The truncation fallback takes S over ALL junctions and F over ALL
 /// candidate-eligible devices, which dominates every state.
 #include <bit>
-#include <optional>
 
 #include "soidom/base/contracts.hpp"
-#include "soidom/base/parallel.hpp"
 #include "soidom/base/strings.hpp"
 #include "soidom/csa/csa.hpp"
 #include "soidom/guard/fault.hpp"
@@ -411,10 +409,6 @@ void validate(const CsaOptions& options) {
                  format("CsaOptions.keeper_strength = %d is invalid "
                         "(need keeper_strength >= 1)",
                         options.keeper_strength));
-  SOIDOM_REQUIRE(options.num_threads >= 0,
-                 format("CsaOptions.num_threads = %d is invalid "
-                        "(need num_threads >= 0)",
-                        options.num_threads));
 }
 
 CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
@@ -426,17 +420,12 @@ CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
   SizingResult sizing;
   if (options.use_sizing) sizing = size_netlist(netlist, options.sizing);
 
-  const std::size_t num_gates = netlist.gates().size();
-  std::vector<CsaGateReport> slots(num_gates);
-  GuardContext* guard = current_guard();
-  parallel_for(static_cast<unsigned>(options.num_threads), num_gates,
-               [&](std::size_t g) {
-    // Helper threads do not inherit the caller's thread-local guard.
-    std::optional<GuardScope> scope;
-    if (guard != nullptr) scope.emplace(*guard);
+  CsaResult result;
+  result.report.gates.resize(netlist.gates().size());
+  for (std::size_t g = 0; g < netlist.gates().size(); ++g) {
     guard_checkpoint();
     const DominoGate& spec = netlist.gates()[g];
-    CsaGateReport& rep = slots[g];
+    CsaGateReport& rep = result.report.gates[g];
     rep.gate = static_cast<int>(g);
     rep.dual = spec.dual();
     const std::vector<double>* widths =
@@ -462,10 +451,8 @@ CsaResult run_csa(const DominoNetlist& netlist, const CsaOptions& options) {
       rep.pd2 = bound_one(spec.pdn2, spec.discharges2, spec.footed2,
                           spec.pdn.leaf_signals().size());
     }
-  });
+  }
 
-  CsaResult result;
-  result.report.gates = std::move(slots);
   result.report.vdd = options.charge.vdd;
   result.report.margin = options.margin;
   result.report.keeper_strength = options.keeper_strength;

@@ -11,12 +11,12 @@
 /// installs a GuardContext for the duration of the flow; a tripped guard
 /// throws GuardError, which the facade converts into a Diagnostic.
 ///
-/// A GuardContext must not be shared by concurrently running *flows*, but
-/// checkpoint()/charge() are thread-safe (relaxed atomics), so one flow
-/// may fan its hot loop out over worker threads — the csa, race and prove
-/// analyzers install the owning flow's guard on each worker via
-/// GuardScope and the budget/deadline still hold across all of them.  A CancelToken may be
-/// triggered from any thread.
+/// A GuardContext must not be shared by concurrently running *flows*.
+/// Every stage, the analyzers included, checkpoints on the thread that
+/// installed the guard; checkpoint()/charge() are still thread-safe
+/// (relaxed atomics).  A CancelToken may be triggered from any thread:
+/// the batch runner's watchdog cancels attempts running on its `--jobs`
+/// workers that way.
 #pragma once
 
 #include <atomic>

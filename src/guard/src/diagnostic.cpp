@@ -70,7 +70,9 @@ std::string Diagnostic::to_json() const {
   out += ",\"context\":[";
   for (std::size_t i = 0; i < context.size(); ++i) {
     if (i) out += ",";
-    out += "\"" + json_escape(context[i]) + "\"";
+    out += '"';
+    out += json_escape(context[i]);
+    out += '"';
   }
   out += "]}";
   return out;

@@ -10,9 +10,8 @@ namespace {
 Network rebuild(const Network& net, const std::vector<bool>& keep,
                 bool sweep_bufs) {
   NetworkBuilder builder(/*structural_hashing=*/false);
-  std::vector<NodeId> remap(net.size(), NodeId{});
-  remap[kConst0Id.value] = kConst0Id;
-  remap[kConst1Id.value] = kConst1Id;
+  std::vector<NodeId> remap = {kConst0Id, kConst1Id};
+  remap.resize(net.size(), NodeId{});
 
   std::size_t pi_pos = 0;
   for (std::uint32_t i = 2; i < net.size(); ++i) {

@@ -119,7 +119,7 @@ std::string Pdn::to_string_of(PdnIndex i) const {
   const PdnNode& n = node(i);
   switch (n.kind) {
     case PdnKind::kLeaf:
-      return "s" + std::to_string(n.signal);
+      return 's' + std::to_string(n.signal);
     case PdnKind::kSeries:
     case PdnKind::kParallel: {
       const char* sep = n.kind == PdnKind::kSeries ? "." : "+";

@@ -37,7 +37,6 @@
 #include <utility>
 
 #include "soidom/base/contracts.hpp"
-#include "soidom/base/parallel.hpp"
 #include "soidom/base/strings.hpp"
 #include "soidom/bdd/bdd.hpp"
 #include "soidom/domino/postpass.hpp"
@@ -946,10 +945,6 @@ void validate(const ProveOptions& options) {
                  format("ProveOptions.node_budget = %u is invalid "
                         "(need 2 <= node_budget <= %zu)",
                         options.node_budget, BddManager::kMaxNodeLimit));
-  SOIDOM_REQUIRE(options.num_threads >= 0,
-                 format("ProveOptions.num_threads = %d is invalid "
-                        "(need num_threads >= 0)",
-                        options.num_threads));
 }
 
 ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
@@ -1003,12 +998,7 @@ ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
     bool budget_hit = false;
   };
   std::vector<Slot> slots(targets.size());
-  GuardContext* guard = current_guard();
-  parallel_for(static_cast<unsigned>(options.num_threads), targets.size(),
-               [&](std::size_t i) {
-    // Helper threads do not inherit the caller's thread-local guard.
-    std::optional<GuardScope> scope;
-    if (guard != nullptr) scope.emplace(*guard);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
     guard_checkpoint();
     const Target& t = targets[i];
     Slot& slot = slots[i];
@@ -1029,8 +1019,7 @@ ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
       }
     } catch (const GuardError& e) {
       // Only a cone blow-up is an in-band unknown; cancellation, deadline,
-      // and resource-budget trips keep propagating (parallel_for rethrows
-      // the lowest-index failure after the range drains).
+      // and resource-budget trips keep propagating.
       if (e.code() != ErrorCode::kBddNodeLimit) throw;
       slot.record = make_record(
           t.rule, t.location, ProofStatus::kUnknown,
@@ -1039,10 +1028,10 @@ ProveReport run_prove(const DominoNetlist& netlist, LintReport* lint,
                  options.node_budget, e.what()));
       slot.budget_hit = true;
     }
-  });
+  }
 
-  // Deterministic application: target order is (lint, csa, race) x
-  // finding order, independent of the worker schedule.
+  // The findings change only once every target has its verdict, applied
+  // in target order: (lint, csa, race) x finding order.
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const Target& t = targets[i];
     Slot& slot = slots[i];

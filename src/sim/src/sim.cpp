@@ -12,8 +12,8 @@ std::vector<SimWord> simulate_nodes(const Network& net,
                                     const std::vector<SimWord>& pi_words) {
   SOIDOM_REQUIRE(pi_words.size() == net.pis().size(),
                  "simulate_nodes: wrong number of PI words");
-  std::vector<SimWord> value(net.size(), 0);
-  value[kConst1Id.value] = ~SimWord{0};
+  std::vector<SimWord> value = {0, ~SimWord{0}};
+  value.resize(net.size(), 0);
   for (std::size_t k = 0; k < net.pis().size(); ++k) {
     value[net.pis()[k].value] = pi_words[k];
   }

@@ -358,7 +358,7 @@ TEST(BddEquivalence, NodeLimitReturnsNullopt) {
   // cannot complete.
   NetworkBuilder b;
   std::vector<NodeId> pis;
-  for (int i = 0; i < 24; ++i) pis.push_back(b.add_pi("x" + std::to_string(i)));
+  for (int i = 0; i < 24; ++i) pis.push_back(b.add_pi('x' + std::to_string(i)));
   NodeId acc = pis[0];
   for (std::size_t i = 1; i < pis.size(); ++i) {
     acc = b.add_or(b.add_and(acc, b.add_inv(pis[i])),
@@ -504,7 +504,7 @@ TEST(BddCex, RandomMiscomparesAlwaysDistinguish) {
 TEST(BddCex, NodeLimitReturnsNulloptWithoutCube) {
   NetworkBuilder b;
   std::vector<NodeId> pis;
-  for (int i = 0; i < 24; ++i) pis.push_back(b.add_pi("x" + std::to_string(i)));
+  for (int i = 0; i < 24; ++i) pis.push_back(b.add_pi('x' + std::to_string(i)));
   NodeId acc = pis[0];
   for (std::size_t i = 1; i < pis.size(); ++i) {
     acc = b.add_or(b.add_and(acc, b.add_inv(pis[i])),

@@ -125,12 +125,12 @@ TEST_P(ExtractRandomProperty, PreservesFunctionAndNeverGrowsLiterals) {
   model.name = "rand";
   const int num_inputs = 6;
   for (int i = 0; i < num_inputs; ++i) {
-    model.inputs.push_back("x" + std::to_string(i));
+    model.inputs.push_back('x' + std::to_string(i));
   }
   const int tables = 2 + static_cast<int>(rng.next_below(4));
   for (int t = 0; t < tables; ++t) {
     BlifTable table;
-    table.output = "o" + std::to_string(t);
+    table.output = 'o' + std::to_string(t);
     table.inputs = model.inputs;
     table.cover.num_inputs = model.inputs.size();
     const int cubes = 1 + static_cast<int>(rng.next_below(5));
@@ -146,7 +146,7 @@ TEST_P(ExtractRandomProperty, PreservesFunctionAndNeverGrowsLiterals) {
       table.cover.cubes.push_back(std::move(cube));
     }
     model.tables.push_back(std::move(table));
-    model.outputs.push_back("o" + std::to_string(t));
+    model.outputs.push_back('o' + std::to_string(t));
   }
 
   const BlifModel original = model;

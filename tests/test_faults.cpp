@@ -407,7 +407,7 @@ TEST(Diagnostic, CliExitCodes) {
 // Batch-stage probes (src/batch): a journal-write fault aborts the batch
 // with correct attribution; spawn/watchdog faults are crash-class attempt
 // failures the retry ladder absorbs.  All with max_parallel = 1 so the
-// pool runs inline on this thread, where the FaultScope is installed.
+// jobs run inline on this thread, where the FaultScope is installed.
 
 namespace {
 BatchOptions inline_batch_options() {

@@ -2,7 +2,7 @@
 /// The lint engine: one deliberately-corrupted netlist per rule (each must
 /// fire exactly its intended rule), report emitters (text / JSON / SARIF
 /// 2.1.0 shape), the verify_structure compatibility shim, and the
-/// paper-table circuits mapping + linting clean at every thread count.
+/// paper-table circuits mapping + linting clean.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -172,7 +172,7 @@ DominoNetlist simple_netlist(int leaves, bool series) {
   DominoNetlist nl;
   std::vector<std::uint32_t> sigs;
   for (int i = 0; i < leaves; ++i) {
-    sigs.push_back(nl.add_input({"x" + std::to_string(i), i, false}));
+    sigs.push_back(nl.add_input({'x' + std::to_string(i), i, false}));
   }
   DominoGate g;
   std::vector<PdnIndex> kids;

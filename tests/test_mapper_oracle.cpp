@@ -93,7 +93,7 @@ TEST(MapperOracle, HeightLimitForcesGateSplit) {
   // 9 + (1 + 2 + 5) = 17.
   NetworkBuilder b;
   std::vector<NodeId> pis;
-  for (int i = 0; i < 6; ++i) pis.push_back(b.add_pi("x" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) pis.push_back(b.add_pi('x' + std::to_string(i)));
   NodeId acc = pis[0];
   for (int i = 1; i < 6; ++i) acc = b.add_and(acc, pis[static_cast<std::size_t>(i)]);
   b.add_output(acc, "f");

@@ -19,7 +19,7 @@ TEST(Sizing, StackCompensationWidensTallStacks) {
   DominoNetlist nl;
   std::uint32_t in[4];
   for (int i = 0; i < 4; ++i) {
-    in[i] = nl.add_input({"x" + std::to_string(i), i, false});
+    in[i] = nl.add_input({'x' + std::to_string(i), i, false});
   }
   DominoGate tall;
   tall.pdn.set_root(tall.pdn.add_series(
@@ -52,7 +52,7 @@ TEST(Sizing, MixedStackDepths) {
   DominoNetlist nl;
   std::uint32_t in[4];
   for (int i = 0; i < 4; ++i) {
-    in[i] = nl.add_input({"x" + std::to_string(i), i, false});
+    in[i] = nl.add_input({'x' + std::to_string(i), i, false});
   }
   DominoGate g;
   const PdnIndex yz =

@@ -5,9 +5,9 @@ Enforces, in order of severity:
 
  1. Identity (always, on any machine): every circuit must report
     "identical": true — the prove report and every refined analyzer
-    report are byte-identical across thread counts.  A divergent
-    refinement is a determinism bug in the proof tier, never a perf
-    tradeoff.
+    report are byte-identical across perf_prove's repeated calls.  A
+    divergent refinement is a determinism bug in the proof tier, never a
+    perf tradeoff.
 
  2. Verdict-mix floors (always): the paper set must yield at least
     --min-confirmed confirmed findings AND --min-refuted refutations
@@ -21,23 +21,19 @@ Enforces, in order of severity:
     so the paper-table cones all resolve; a hit means a cone blew up.
 
  4. Throughput floor (always, on any machine): every circuit's
-    1-thread run must prove at least MIN_TARGETS_PER_SEC (500) targets
+    run_prove call must prove at least MIN_TARGETS_PER_SEC (500) targets
     per second.  A proof target builds one short-lived BDD manager; the
     floor sits well below what any current machine reaches (about 3k/s
     on the slowest circuit) and far above the ~60/s a manager that
     allocates its full computed table up front reaches, so it catches
     set-up cost creeping back in without needing a matched machine.
 
- 5. Baseline drift (only with --baseline, typically the committed
-    BENCH_prove.json):
-      - verdict counts (total_targets / total_confirmed / total_refuted)
-        must EQUAL the baseline's — proofs are deterministic functions
-        of the code, so any change is a semantic change that should be
-        reviewed and the baseline regenerated, not absorbed silently;
-      - geomean_speedup_nt may not drop more than --max-drop (default
-        10%) below baseline, skipped when either machine cannot express
-        the concurrency (wall-clock speedups on a 1-CPU runner are
-        scheduling noise, not data).
+ 5. Baseline verdicts (only with --baseline, typically the committed
+    BENCH_prove.json): verdict counts (total_targets / total_confirmed /
+    total_refuted) must EQUAL the baseline's — proofs are deterministic
+    functions of the code, so any change is a semantic change that
+    should be reviewed and the baseline regenerated, not absorbed
+    silently.
 
 Exit codes: 0 pass, 1 gate failure, 2 bad invocation / unreadable input.
 """
@@ -58,17 +54,12 @@ def load(path):
         sys.exit(2)
 
 
-def usable_threads(report):
-    """Concurrency this report's machine can honestly measure."""
-    return max(1, int(report.get("hardware_concurrency", 1)))
-
-
 def check_identity(report, failures):
     for circuit in report.get("circuits", []):
         if not circuit.get("identical", False):
             failures.append(
                 f"circuit '{circuit.get('name', '?')}' produced a "
-                f"DIFFERENT refinement at some thread count"
+                f"DIFFERENT refinement on a repeated call"
             )
     summary = report.get("summary", {})
     if "all_identical" in summary and not summary["all_identical"]:
@@ -102,14 +93,12 @@ def check_verdicts(report, args, failures, notices):
 def check_throughput(report, failures, notices):
     for circuit in report.get("circuits", []):
         name = circuit.get("name", "?")
-        serial = [r for r in circuit.get("runs", []) if r.get("threads") == 1]
-        if not serial:
-            failures.append(f"circuit '{name}' has no 1-thread run")
-            continue
-        rate = serial[0].get("targets_per_sec", 0.0)
-        if rate < MIN_TARGETS_PER_SEC:
+        rate = circuit.get("targets_per_sec")
+        if rate is None:
+            failures.append(f"circuit '{name}' has no targets_per_sec")
+        elif rate < MIN_TARGETS_PER_SEC:
             failures.append(
-                f"circuit '{name}' proves {rate:.1f} targets/s on 1 thread, "
+                f"circuit '{name}' proves {rate:.1f} targets/s, "
                 f"below the floor {MIN_TARGETS_PER_SEC:g}"
             )
         else:
@@ -118,11 +107,11 @@ def check_throughput(report, failures, notices):
             )
 
 
-def check_baseline(report, baseline, args, failures, notices):
+def check_baseline(report, baseline, failures, notices):
     if baseline.get("bench") != report.get("bench"):
         notices.append(
             f"baseline schema '{baseline.get('bench')}' != current "
-            f"'{report.get('bench')}': skipping drift comparison"
+            f"'{report.get('bench')}': skipping verdict comparison"
         )
         return
     # Verdict counts are deterministic in the code, not the machine:
@@ -140,29 +129,6 @@ def check_baseline(report, baseline, args, failures, notices):
             )
         else:
             notices.append(f"verdicts match baseline: {key} = {cur}")
-    cur_hw, base_hw = usable_threads(report), usable_threads(baseline)
-    if cur_hw < 4 or base_hw < 4:
-        notices.append(
-            f"skipping speedup drift check: needs 4-way machines "
-            f"(current={cur_hw}, baseline={base_hw})"
-        )
-        return
-    cur = report.get("summary", {}).get("geomean_speedup_nt")
-    base = baseline.get("summary", {}).get("geomean_speedup_nt")
-    if cur is None or base is None or base <= 0:
-        notices.append("skipping speedup drift check: value missing")
-        return
-    allowed = base * (1.0 - args.max_drop)
-    if cur < allowed:
-        failures.append(
-            f"geomean_speedup_nt = {cur:.3f} dropped more than "
-            f"{args.max_drop:.0%} below baseline {base:.3f} "
-            f"(allowed >= {allowed:.3f})"
-        )
-    else:
-        notices.append(
-            f"drift ok: geomean_speedup_nt = {cur:.3f} vs baseline {base:.3f}"
-        )
 
 
 def main():
@@ -192,13 +158,6 @@ def main():
         default=0,
         help="allowed budget hits across the suite (default 0)",
     )
-    parser.add_argument(
-        "--max-drop",
-        type=float,
-        default=0.10,
-        help="max fractional geomean speedup drop vs baseline "
-        "(default 0.10)",
-    )
     args = parser.parse_args()
 
     report = load(args.current)
@@ -215,10 +174,8 @@ def main():
     check_verdicts(report, args, failures, notices)
     check_throughput(report, failures, notices)
     if args.baseline:
-        check_baseline(report, load(args.baseline), args, failures, notices)
+        check_baseline(report, load(args.baseline), failures, notices)
 
-    hw = report.get("hardware_concurrency", "?")
-    print(f"check_prove_bench: machine {hw} thread(s)")
     for line in notices:
         print(f"  note: {line}")
     for line in failures:
